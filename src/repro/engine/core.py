@@ -85,6 +85,13 @@ from repro.engine.supervision import QuarantineRecord, SupervisionPolicy
 from repro.faults.campaign import FaultCampaignResult
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where supported)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return multiprocessing.cpu_count()
+
+
 class EngineError(RuntimeError):
     """A worker died, a scheduler misbehaved, or a request was invalid."""
 
@@ -212,7 +219,7 @@ class Engine:
         supervision: SupervisionPolicy | None = None,
         close_timeout: float = 10.0,
     ):
-        self.workers = workers or multiprocessing.cpu_count()
+        self.workers = workers or usable_cpus()
         if self.workers < 1:
             raise ValueError(f"workers {self.workers} must be >= 1")
         self._warm_requests = tuple(warm)

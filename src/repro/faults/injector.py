@@ -156,6 +156,11 @@ class FaultInjector(Device):
     def armed(self) -> bool:
         return self._armed_bus is not None
 
+    @property
+    def armed_bus(self) -> IOBus | None:
+        """The bus this injector wraps; its counters ride our snapshot."""
+        return self._armed_bus
+
     def arm(self, machine) -> None:
         """Install the counted chokepoint on ``machine``'s bus and disk."""
         if self._armed_bus is not None:

@@ -21,6 +21,11 @@ IDE_COMMAND_BASE = 0x1F0
 IDE_CONTROL_BASE = 0x3F6
 BUSMOUSE_BASE = 0x23C
 
+#: Bus methods a shim may shadow per instance (`repro.faults.injector`).
+_BUS_HOOKS = frozenset(
+    ("read_port", "write_port", "bulk_read_port", "bulk_write_port")
+)
+
 
 @dataclass(frozen=True)
 class MachineSnapshot:
@@ -91,6 +96,30 @@ class Machine:
             disk=self.disk.snapshot() if self.disk is not None else None,
             extras=tuple(device.snapshot() for device in self.extra_devices),
         )
+
+    def loop_state(self) -> MachineSnapshot | None:
+        """The whole machine state, for the loop watch's exact compare.
+
+        `repro.minic.loopwatch` jumps a loop only when this value (a
+        :meth:`snapshot`, compared with ``==``) repeats.  ``None`` means
+        some state is outside the snapshot and the watch must disarm: a
+        device still on the no-op base snapshot that changed, or bus or
+        disk methods wrapped by something that is not an attached device
+        (an injector armed without ``attach`` counts accesses nobody
+        snapshots).
+        """
+        wrapped = vars(self.bus).keys() & _BUS_HOOKS or (
+            self.disk is not None and "write_sector" in vars(self.disk)
+        )
+        if wrapped and not any(
+            getattr(device, "armed_bus", None) is self.bus
+            for device in self.extra_devices
+        ):
+            return None
+        try:
+            return self.snapshot()
+        except StatefulSnapshotError:
+            return None
 
     def restore(self, snapshot: MachineSnapshot) -> None:
         self.bus.restore(snapshot.bus)

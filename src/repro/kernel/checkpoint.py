@@ -747,6 +747,7 @@ def resume_boot(
     )
     machine.restore(checkpoint.machine)
     interp.restore_state(checkpoint.interp)
+    interp.arm_loop_watch(machine.loop_state)
     if harness_factory is None:
         context = _KernelContext(interp)
         sequence = BootSequence(context, machine)

@@ -56,9 +56,10 @@ DRIVER_ABI = ("ide_init", "ide_read", "ide_write")
 DEFAULT_STEP_BUDGET = 1_500_000
 
 #: Execution backend booted kernels run on.  "closure" is the lowered
-#: fast path, "source" the Python-source-emitting codegen backend, and
-#: "tree" the reference walker (`REPRO_MINIC_BACKEND` overrides, and
-#: the equivalence + differential tests assert all three agree).
+#: fast path, "source" the Python-source-emitting codegen backend,
+#: "hybrid" the checkpointed campaigns' mix of the two, and "tree" the
+#: reference walker (`REPRO_MINIC_BACKEND` overrides, and the
+#: equivalence + differential tests assert all four agree).
 DEFAULT_BACKEND = os.environ.get("REPRO_MINIC_BACKEND", "closure")
 
 MAX_FILES = 64
@@ -156,6 +157,7 @@ def boot(
     interp = interp_class(
         program, machine.bus, step_budget=step_budget, defer_globals=True
     )
+    interp.arm_loop_watch(machine.loop_state)
     context = _KernelContext(interp)
     sequence = BootSequence(context, machine)
 
@@ -197,6 +199,7 @@ def _report(
         coverage=set(interp.coverage),
         log=list(interp.log),
         disk_diff=machine.disk_diff(),
+        steps_jumped=interp.steps_jumped,
     )
 
 

@@ -68,6 +68,17 @@ class BootReport:
     coverage: set[tuple[str, int]] = field(default_factory=set)
     log: list[str] = field(default_factory=list)
     disk_diff: list[int] = field(default_factory=list)
+    #: Steps the loop watch jumped instead of executing
+    #: (`repro.minic.loopwatch`).  Telemetry: already counted in
+    #: ``steps``, left out of equality, and left out of pickles while
+    #: zero, so plans and shard files keep their bytes.
+    steps_jumped: int = field(default=0, compare=False)
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        if not state.get("steps_jumped"):
+            state.pop("steps_jumped", None)
+        return state
 
     @property
     def completed(self) -> bool:

@@ -13,8 +13,8 @@ Semantics are bit-for-bit those of the tree walker (and therefore of the
 closure backend): same outcomes, same step counts, same coverage sets,
 same fault messages, same log lines and disk effects.  The emitter is a
 statement-for-statement transliteration of ``compile._Lowerer``; every
-step-batching decision either copies the closure backend's or is one of
-the two provably neutral extensions below:
+step-accounting decision either copies the closure backend's or is one
+of the provably neutral extensions below:
 
 * the per-iteration ``coverage.update(origins)`` of a loop is skipped:
   the loop statement's entry prologue has already added the *same*
@@ -22,7 +22,13 @@ the two provably neutral extensions below:
   a no-op;
 * a loop's per-iteration step is batched into the condition expression's
   entry step (with the usual ``budget + 1`` fix-up): nothing with a side
-  effect sits between the two consumes in the reference backends.
+  effect sits between the two consumes in the reference backends;
+* every loop head carries the loop watch, as the closure backend's do:
+  once the run is armed and the loop's whole state repeats, ``steps``
+  and ``time_us`` jump by whole periods to within one period of the
+  budget, exactly where the burn would have been
+  (`repro.minic.loopwatch` has the argument).  Unarmed, the head costs
+  one integer compare.
 
 Static name resolution replaces the interpreter's scope-chain scan:
 mini-C block scoping is lexical (a ``LocalDecl`` becomes visible to the
@@ -91,6 +97,7 @@ from repro.minic.compile import (
     ClosureInterpreter,
     compiled_functions,
 )
+from repro.minic.loopwatch import source_back_edge
 from repro.minic.program import CompiledProgram
 from repro.minic.values import CArray, CPointer, CStructValue
 
@@ -164,6 +171,7 @@ _BASE_HELPERS = {
     "_mod": _mod,
     "_element_int_type": _element_int_type,
     "_FRAME": _FRAME,
+    "_back_edge": source_back_edge,
 }
 
 
@@ -322,6 +330,7 @@ class _FunctionEmitter:
         self._const_ids: dict[int, str] = {}
         self._tmp = 0
         self._scope_id = 0
+        self._loop_id = 0
         self._scopes: list[dict[str, tuple[str, CType | None]]] = []
         #: (file, line) pairs guaranteed to be in the coverage set at the
         #: current emission point (updates of subsets are no-ops).
@@ -611,6 +620,28 @@ class _FunctionEmitter:
             return ("function", name, None)
         return ("unbound", None, None)
 
+    def open_loop(self, stmt: ast.Stmt) -> None:
+        """``while True:`` with the loop watch at its head; the caller
+        emits the body (indented) and pops.
+
+        The watch local is per loop activation; unarmed, the head costs
+        one integer compare (see `repro.minic.loopwatch`).  ``_s`` is
+        the step count at the latest emitted consume: every iteration
+        makes one, so it passes the watch's threshold whenever
+        ``rt.steps`` does, by the following head at the latest.
+        """
+        self._loop_id += 1
+        watch = f"_w{self._loop_id}"
+        names = tuple(py for scope in self._scopes for py, _ in scope.values())
+        loop = self.const((stmt, names), "l")
+        self.line(f"{watch} = rt.loop_watch_at")
+        self.line("while True:")
+        self.push()
+        self.line(f"if _s > {watch}:")
+        self.push()
+        self.line(f"{watch} = _back_edge(rt, {watch}, {loop}, locals())")
+        self.pop()
+
     @staticmethod
     def may_decay(ctype: CType | None) -> bool:
         """Whether a cell of this declared type could hold a ``CArray``."""
@@ -861,8 +892,7 @@ class _FunctionEmitter:
         assert stmt.cond is not None and stmt.body is not None
         self.steps(1 + extra)
         self.cov(origins)
-        self.line("while True:")
-        self.push()
+        self.open_loop(stmt)
         # Iteration step batched into the condition's entry consume; the
         # iteration coverage update is skipped (same frozenset as the
         # entry's — always idempotent).  See the module docstring.
@@ -901,8 +931,7 @@ class _FunctionEmitter:
         assert stmt.cond is not None and stmt.body is not None
         self.steps(1 + extra)
         self.cov(origins)
-        self.line("while True:")
-        self.push()
+        self.open_loop(stmt)
         self.steps(1)  # iteration; coverage update idempotent, skipped
         self._emit_loop_body(stmt.body)
         cond = self.emit_expr(stmt.cond)
@@ -919,8 +948,7 @@ class _FunctionEmitter:
         self.push_scope()
         if stmt.init is not None:
             self.emit_stmt(stmt.init)
-        self.line("while True:")
-        self.push()
+        self.open_loop(stmt)
         if stmt.cond is not None:
             cond = self.emit_expr(stmt.cond, extra=1)
             self.line(f"if not {self.truthy_code(cond)}:")
@@ -2258,10 +2286,12 @@ def compiled_hybrid_functions(program: CompiledProgram) -> dict[str, Callable]:
     backend costs a per-mutant Python ``compile`` (~1 ms); lowering just
     the fresh declaration on the closure backend costs ~0.05 ms with
     bit-identical semantics.  Fresh declarations that contain a loop
-    keep the source path: a budget-bound mutant burns its entire step
-    budget inside its own loop, where the source backend's fused polling
-    idioms are ~3x faster than closures — exactly the wrong place to
-    trade execution speed for setup cost.  Cross-calls in both
+    keep the source path, where the fused polling idioms run ~3x faster
+    than closures: a mutated loop may still run long.  The loop watch
+    (`repro.minic.loopwatch`) cuts an exactly repeating loop short, but
+    only after the first 1/16 of the step budget, and a loop with a live
+    counter (a timeout running past the budget) never repeats and burns
+    the whole budget for real.  Cross-calls in both
     directions dispatch through the shared function table, mirroring the
     per-function closure fallback the source backend already performs.
     """

@@ -35,7 +35,9 @@ for speed: blocks with no *direct* local declaration skip the scope
 push/pop (nothing could ever be stored in that scope), and the
 integer-only fast path of each operator short-circuits the pointer/string
 checks the walker performs structurally (non-``int`` operands fall back
-to the reference logic).
+to the reference logic).  Loop heads also carry the loop watch
+(`repro.minic.loopwatch`), which is just as neutral: an armed run whose
+loop state repeats exactly jumps to where the burn would have ended.
 """
 
 from __future__ import annotations
@@ -65,6 +67,7 @@ from repro.minic.interp import (
     _c_div,
     _element_int_type,
 )
+from repro.minic.loopwatch import back_edge
 from repro.minic.program import CompiledProgram
 from repro.minic.values import CArray, CPointer, CStructValue
 
@@ -469,12 +472,15 @@ class _Lowerer:
             coverage = rt.coverage
             coverage.update(origins)
             budget = rt.step_budget
+            watch = rt.loop_watch_at
             while True:
                 rt.steps = steps = rt.steps + 1
                 if steps > budget:
                     raise StepBudgetExceeded(
                         f"step budget of {budget} exhausted"
                     )
+                if steps > watch:
+                    watch = back_edge(rt, watch, stmt, rt._scopes[-1])
                 coverage.update(origins)
                 value = cond(rt)
                 if not (value != 0 if type(value) is int else _truthy(value)):
@@ -502,12 +508,15 @@ class _Lowerer:
             coverage = rt.coverage
             coverage.update(origins)
             budget = rt.step_budget
+            watch = rt.loop_watch_at
             while True:
                 rt.steps = steps = rt.steps + 1
                 if steps > budget:
                     raise StepBudgetExceeded(
                         f"step budget of {budget} exhausted"
                     )
+                if steps > watch:
+                    watch = back_edge(rt, watch, stmt, rt._scopes[-1])
                 coverage.update(origins)
                 try:
                     body(rt)
@@ -542,12 +551,15 @@ class _Lowerer:
                     init(rt)
                 coverage = rt.coverage
                 budget = rt.step_budget
+                watch = rt.loop_watch_at
                 while True:
                     rt.steps = steps = rt.steps + 1
                     if steps > budget:
                         raise StepBudgetExceeded(
                             f"step budget of {budget} exhausted"
                         )
+                    if steps > watch:
+                        watch = back_edge(rt, watch, stmt, rt._scopes[-1])
                     coverage.update(origins)
                     if cond is not None:
                         value = cond(rt)

@@ -15,6 +15,7 @@ The machine the paper boots mutant kernels on.  Responsibilities:
 from __future__ import annotations
 
 import copy
+import sys
 import zlib
 from dataclasses import dataclass
 
@@ -35,6 +36,15 @@ from repro.minic.ctypes import (
 from repro.minic.errors import InterpreterBug, MachineFault, StepBudgetExceeded
 from repro.minic.program import CompiledProgram
 from repro.minic.values import CArray, CPointer, CStructValue
+
+
+#: ``loop_watch_at`` of an unarmed interpreter: no step count exceeds it.
+NEVER = sys.maxsize
+
+#: An armed loop watch wakes once a run has spent 1/16 of its step
+#: budget: a budget-bound run it cuts short executes little more than
+#: that share, and a run that ends earlier never pays for a snapshot.
+LOOP_WATCH_SHARE = 16
 
 
 class _BreakSignal(Exception):
@@ -163,6 +173,14 @@ class Interpreter:
     :class:`StepBudgetExceeded` when it runs out.
     """
 
+    #: Compiled loop heads call `repro.minic.loopwatch.back_edge` once
+    #: ``steps`` exceeds this (see :meth:`arm_loop_watch`).
+    loop_watch_at = NEVER
+    #: Machine-state capture the loop watch compares (``None`` = none).
+    loop_state = None
+    #: Steps the loop watch jumped instead of executing.
+    steps_jumped = 0
+
     def __init__(
         self,
         program: CompiledProgram,
@@ -207,6 +225,18 @@ class Interpreter:
         if not self._globals_ready:
             self._globals_ready = True
             self._init_globals()
+
+    def arm_loop_watch(self, loop_state) -> None:
+        """Let compiled loops jump a repeating cycle to the step budget.
+
+        ``loop_state()`` must return the whole bus/machine state as a
+        value with real equality, or ``None`` when it cannot (the watch
+        then disarms).  The watch wakes after ``1/LOOP_WATCH_SHARE`` of
+        the budget; `repro.minic.loopwatch` has the soundness argument.
+        The tree walker never consults it: it stays the burn reference.
+        """
+        self.loop_state = loop_state
+        self.loop_watch_at = self.step_budget // LOOP_WATCH_SHARE
 
     # -- checkpointing ------------------------------------------------------
 

@@ -90,6 +90,9 @@ class ScenarioMachine:
     def snapshot(self) -> tuple:
         return (self.bus.count, tuple(self.bus.writes))
 
+    #: The loop watch's machine capture: the bus history is all there is.
+    loop_state = snapshot
+
     def restore(self, snapshot: tuple) -> None:
         count, writes = snapshot
         self.bus.count = count
@@ -214,6 +217,7 @@ def scenario_harness(interp, machine: ScenarioMachine):
             coverage=set(interp.coverage),
             log=list(interp.log),
             disk_diff=machine.disk_diff(),
+            steps_jumped=interp.steps_jumped,
         )
 
     return sequence, classifier
@@ -230,6 +234,7 @@ def scenario_boot(
     interp = interp_class(
         program, machine.bus, step_budget=step_budget, defer_globals=True
     )
+    interp.arm_loop_watch(machine.loop_state)
     sequence, classifier = scenario_harness(interp, machine)
 
     def run() -> None:

@@ -84,6 +84,21 @@ def _drain(scheduler, order):
     return leases
 
 
+def test_default_worker_count_follows_cpu_affinity(monkeypatch):
+    """``workers=None`` sizes the pool from the CPUs this process may
+    use, not the host's total (a pinned or containerised run)."""
+    import repro.engine.core as core
+
+    if not hasattr(os, "sched_getaffinity"):
+        pytest.skip("platform has no CPU affinity")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3})
+    monkeypatch.setattr(core.multiprocessing, "cpu_count", lambda: 64)
+    assert Engine().workers == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5})
+    assert Engine().workers == 3
+    assert Engine(workers=2).workers == 2
+
+
 @pytest.mark.parametrize(
     "total,workers,lease_size",
     [(0, 1, None), (1, 1, None), (10, 3, 2), (100, 7, None), (433, 4, None)],
