@@ -6,7 +6,8 @@ fixed-seed sampled C-driver campaign under several configurations:
 * **legacy configuration** — the seed pipeline: tree-walking interpreter,
   full per-mutant ``compile_program``, serial execution;
 * **fast configuration** — closure-compiled backend, incremental
-  compilation cache, and a worker pool sized to the machine;
+  compilation cache, and ``workers=N`` sized to the CPUs this process
+  may use;
 * **source configuration** — the source-emitting codegen backend
   (``backend="source"``, `repro.minic.codegen`) with the incremental
   cache, measured single-core so the ``speedup_source_vs_closure`` ratio
@@ -81,7 +82,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -182,7 +182,11 @@ def run_configurations(
     serial rows pay as per-run setup inside their own timings.
     """
     if workers is None:
-        workers = multiprocessing.cpu_count()
+        # The CPUs this process may run on, not the host's total: an
+        # affinity-limited run must not over-subscribe its cores.
+        from repro.engine.core import usable_cpus
+
+        workers = usable_cpus()
 
     start = time.perf_counter()
     legacy = run_driver_campaign(
@@ -479,7 +483,7 @@ def run_corpus_configuration(
 
         requests = [
             ScenarioRequest(
-                scenario_id=scenario.scenario_id,
+                scenario=scenario,
                 fraction=fraction,
                 seed=seed,
                 backend="source",
@@ -491,7 +495,7 @@ def run_corpus_configuration(
         with Engine(workers=engine_workers, warm=tuple(requests)) as engine:
             start = time.perf_counter()
             submissions = [
-                engine.run_scenario_campaign(request) for request in requests
+                engine.submit(request) for request in requests
             ]
             engine_seconds = time.perf_counter() - start
         for campaign in submissions:

@@ -230,9 +230,9 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("run-local needs exactly one of "
                          "--shard-count or --engine")
         if args.engine is not None:
-            from repro.engine import run_engine_campaign
+            from repro.mutation.runner import run_driver_campaign
 
-            result = run_engine_campaign(
+            result = run_driver_campaign(
                 driver=args.driver,
                 mode=args.mode,
                 fraction=args.fraction,

@@ -7,7 +7,7 @@ source deterministically and sampling is seeded
 coordinator**: every shard re-derives the identical ``tested`` list and
 takes its own stride of the index space,
 ``range(shard_index, total, shard_count)``
-(`repro.mutation.runner.shard_indices`).  The union of all strides
+(`repro.campaign.shard_indices`).  The union of all strides
 covers every sampled index exactly once, so merging shard results by
 index reconstructs the serial campaign bit for bit.
 
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.mutation.runner import shard_indices  # re-exported  # noqa: F401
+from repro.campaign import shard_indices  # re-exported  # noqa: F401
 from repro.mutation.sampling import DEFAULT_SEED
 
 DRIVERS = ("c", "cdevil")

@@ -26,19 +26,14 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
+from repro.campaign import evaluate_campaign, resolve_checkpointing
 from repro.distributed.sharding import ShardSpec
-from repro.kernel.checkpoint import (
-    checkpointing_enabled_by_env,
-    granularity_from_env,
-    pinned_granularity,
-    read_plan_header,
-    source_digest,
-)
+from repro.kernel.checkpoint import source_digest
 from repro.mutation.runner import (
+    CampaignRequest,
     CampaignResult,
+    DriverCampaign,
     MutantResult,
-    evaluate_campaign,
-    prepare_campaign,
 )
 
 #: Container kind + payload schema revision for shard-result files.
@@ -125,85 +120,57 @@ def run_shard(
     """Evaluate one shard of a campaign, coordination-free.
 
     The shard re-derives the campaign's sampled mutant list from the
-    spec alone (`repro.mutation.runner.prepare_campaign` is
-    deterministic) and evaluates its own stride of it.  ``plan_path``
-    names a portable checkpoint plan
-    (`repro.kernel.checkpoint.save_plan`): the instrumented clean boot
-    then ships to the shard instead of being re-recorded; giving one
-    implies boot checkpointing.
+    spec alone (building `repro.mutation.runner.DriverCampaign` is
+    deterministic) and evaluates its own stride of it — in-process, or
+    on a throwaway engine for ``workers`` > 1.  ``plan_path`` names a
+    portable checkpoint plan (`repro.kernel.checkpoint.save_plan`): the
+    instrumented clean boot then ships to the shard instead of being
+    re-recorded; giving one implies boot checkpointing, and a pinned
+    granularity must match the one it recorded.
     """
     spec.validate()
-    boot_checkpoint = spec.boot_checkpoint
-    if plan_path is not None and boot_checkpoint is None:
-        boot_checkpoint = True
-    if boot_checkpoint is None:
-        boot_checkpoint = checkpointing_enabled_by_env()
-    if plan_path is not None and not boot_checkpoint:
-        raise ValueError("plan_path given but boot_checkpoint=False")
-
-    granularity = None
-    pinned = None
-    plan_sha256 = None
-    if boot_checkpoint:
-        # Resolved only when checkpointing is on, so a stale environment
-        # value cannot abort a non-checkpointed shard.
-        pinned = pinned_granularity(spec.checkpoint_granularity)
-        if plan_path is not None:
-            # The plan file is the campaign-wide source of truth; its
-            # header names the granularity without deserialising
-            # anything, and its digest ties every shard to the same
-            # recorded clean boot.  A pinned granularity (explicit or
-            # environment override) must match it, exactly as the
-            # serial runner's load refuses.
-            granularity = read_plan_header(plan_path)["granularity"]
-            if pinned is not None and pinned != granularity:
-                raise ValueError(
-                    f"plan {plan_path} records granularity "
-                    f"{granularity!r}, campaign requires {pinned!r} — "
-                    "re-record the plan for this campaign"
-                )
-            plan_sha256 = file_digest(plan_path)
-        else:
-            granularity = pinned or granularity_from_env()
-
-    setup = prepare_campaign(
-        spec.driver,
-        spec.mode,
-        spec.fraction,
-        spec.seed,
-        step_budget=spec.step_budget,
-        backend=spec.backend,
-        compile_cache=spec.compile_cache,
+    boot_checkpoint, granularity = resolve_checkpointing(
+        spec.boot_checkpoint, spec.checkpoint_granularity, plan_path
     )
-    indices = tuple(spec.indices(len(setup.tested)))
-    results, stats = evaluate_campaign(
-        setup,
-        indices,
+    request = CampaignRequest(
+        driver=spec.driver,
+        mode=spec.mode,
+        fraction=spec.fraction,
+        seed=spec.seed,
         backend=spec.backend,
         compile_cache=spec.compile_cache,
         boot_checkpoint=boot_checkpoint,
-        checkpoint_granularity=granularity or "subcall",
-        granularity_pinned=pinned is not None or plan_path is not None,
-        checkpoint_plan=plan_path,
-        workers=workers,
-        progress=progress,
+        granularity=granularity,
+        step_budget=spec.step_budget,
+    )
+    state = DriverCampaign.build(request.warm_key(), plan_path)
+    tested_total = len(state.tested(request.sample))
+    campaign = evaluate_campaign(
+        state,
+        request,
+        progress,
+        workers,
+        (spec.shard_index, spec.shard_count),
+        plan_path,
     )
     return ShardResult(
         campaign=campaign_identity(
             spec,
-            setup.source,
-            tested_total=len(setup.tested),
-            enumerated=setup.enumerated,
-            clean_steps=setup.clean_steps,
-            step_budget=setup.budget,
+            state.source,
+            tested_total=tested_total,
+            enumerated=state.enumerated,
+            clean_steps=state.clean_steps,
+            step_budget=state.budget,
             boot_checkpoint=boot_checkpoint,
-            granularity=granularity,
-            plan_sha256=plan_sha256,
+            # The plan file is the campaign-wide source of truth: its
+            # digest ties every shard to the same recorded clean boot.
+            granularity=granularity if boot_checkpoint else None,
+            plan_sha256=None if plan_path is None else file_digest(plan_path),
         ),
         shard_index=spec.shard_index,
-        indices=indices,
-        results=results,
-        checkpoint_stats=stats,
+        indices=tuple(spec.indices(tested_total)),
+        results=campaign.results,
+        checkpoint_stats=campaign.checkpoint_stats,
     )
 
 

@@ -10,20 +10,25 @@ requests against it, dealing the sampled mutant index space out as
 work-stealing leases (`repro.engine.scheduler`).  Results are
 byte-identical to the serial runner for any worker count and any steal
 schedule, because evaluation reuses the serial code paths and the merge
-is keyed by sampled index (`repro.engine.state`).
+is keyed by sampled index (`repro.engine.state`).  The engine knows no
+campaign kind by name: every kind implements the five operations of
+`repro.campaign`, and one lookup maps a request to its kind.  It is also
+the only parallel executor — ``workers=N`` on the campaign entry points
+runs on a throwaway engine.
 
 Front ends, closest-first:
 
-* ``Engine`` / ``run_engine_campaign`` — in-process;
-* ``run_driver_campaign(engine=...)`` — the classic entry point,
-  engine-backed (likewise ``repro.faults.run_fault_campaign`` and
+* ``Engine`` — in-process;
+* ``run_driver_campaign(engine=...)`` / ``workers=N`` — the classic
+  entry point, engine-backed (likewise
+  ``repro.faults.run_fault_campaign`` and
   ``repro.scenarios.run_scenario_campaign``);
 * ``EngineClient`` ↔ ``python -m repro.engine serve`` — a Unix-socket
   daemon (`repro.engine.daemon`) whose warm state outlives submitting
   processes.
 """
 
-from repro.engine.core import Engine, EngineError, run_engine_campaign
+from repro.engine.core import Engine, EngineError
 from repro.engine.daemon import CampaignFailedError, EngineClient, serve
 from repro.engine.scheduler import (
     LeaseEvent,
@@ -35,8 +40,6 @@ from repro.engine.state import (
     FaultRequest,
     ScenarioRequest,
     SpecRequest,
-    WarmSpec,
-    WarmState,
 )
 from repro.engine.supervision import QuarantineRecord, SupervisionPolicy
 
@@ -53,9 +56,6 @@ __all__ = [
     "SpecRequest",
     "StealScheduler",
     "SupervisionPolicy",
-    "WarmSpec",
-    "WarmState",
     "default_lease_size",
-    "run_engine_campaign",
     "serve",
 ]

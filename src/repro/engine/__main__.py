@@ -87,11 +87,6 @@ def main(argv: list[str] | None = None) -> int:
     server.add_argument("--socket", required=True, help="Unix socket path")
     server.add_argument("--workers", type=int, default=None)
     server.add_argument(
-        "--start-method", default=None,
-        help="multiprocessing start method (default: REPRO_MP_START_METHOD, "
-        "else fork)",
-    )
-    server.add_argument(
         "--lease-timeout", type=float, default=None,
         help="kill and respawn a worker whose lease runs longer than this "
         "many seconds (default: REPRO_ENGINE_LEASE_TIMEOUT, else off)",
@@ -155,7 +150,6 @@ def main(argv: list[str] | None = None) -> int:
             args.socket,
             workers=args.workers,
             warm=warm,
-            start_method=args.start_method,
             ready=lambda: print(f"engine ready on {args.socket}", flush=True),
             supervision=supervision,
         )
@@ -164,7 +158,7 @@ def main(argv: list[str] | None = None) -> int:
     client = EngineClient(args.socket, wait=args.wait)
 
     if args.command == "submit":
-        campaign = client.run_campaign(_request(args))
+        campaign = client.submit(_request(args))
         print(json.dumps({
             "driver": campaign.driver,
             "tested": campaign.tested,
@@ -175,7 +169,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "submit-spec":
-        campaign = client.run_spec_campaign(SpecRequest(
+        campaign = client.submit(SpecRequest(
             spec_name=args.spec_name,
             fraction=args.fraction,
             seed=args.seed,

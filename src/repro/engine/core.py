@@ -11,7 +11,7 @@ shards ran the sampled campaign at 0.4× the serial checkpointed speed.
   compiler, recorded checkpoint plan with its pristine machine
   snapshot) *before* forking, so under the default ``fork`` start
   method every worker inherits it by memory inheritance, paying zero
-  setup.  Specs warmed after the pool exists are recorded once in the
+  setup.  Keys warmed after the pool exists are recorded once in the
   parent and shipped to workers as portable plan files
   (`repro.kernel.checkpoint.save_plan`) — a load, not a re-recording;
 * **long-lived workers** — a worker evaluates mutants from any number
@@ -35,10 +35,10 @@ shards ran the sampled campaign at 0.4× the serial checkpointed speed.
 
 Determinism: results carry their sampled index and merge positionally,
 checkpoint-counter deltas sum commutatively, and each evaluation runs
-the serial runner's own code path against state recorded once — so for
-every ``(worker count, steal schedule)`` pair the assembled
-`~repro.mutation.runner.CampaignResult` is byte-identical to the serial
-run, and a warm engine's Nth campaign equals its cold-start equivalent.
+the campaign kind's own evaluation (`repro.campaign`) against state
+recorded once — so for every ``(worker count, steal schedule)`` pair the
+assembled result object is byte-identical to the serial run, and a warm
+engine's Nth campaign equals its cold-start equivalent.
 Supervision preserves the invariant because leases are answered by
 all-or-nothing frames: a frame either merges completely (each index and
 its stats delta exactly once) or was never written, so a lost lease
@@ -60,29 +60,10 @@ import traceback
 from collections import deque
 from multiprocessing import connection
 
-from repro.mutation.runner import (
-    CampaignResult,
-    DevilCampaignResult,
-    MutantResult,
-    _merge_stats,
-    _pool_context,
-)
-from repro.mutation.sampling import DEFAULT_SEED
+from repro.campaign import merge_stats, shard_indices
 from repro.engine.scheduler import StealScheduler
-from repro.engine.state import (
-    DEVIL_KIND,
-    DRIVER_KIND,
-    FAULT_KIND,
-    SCENARIO_KIND,
-    CampaignRequest,
-    FaultRequest,
-    ScenarioRequest,
-    SpecRequest,
-    WarmSpec,
-    WarmState,
-)
+from repro.engine.state import kind_of
 from repro.engine.supervision import QuarantineRecord, SupervisionPolicy
-from repro.faults.campaign import FaultCampaignResult
 
 
 def usable_cpus() -> int:
@@ -108,7 +89,7 @@ _INHERITED_STATES: dict | None = None
 
 #: Test-only fault injection point.  When set (or when the
 #: ``REPRO_ENGINE_TEST_HOOK`` environment variable names a
-#: ``module:function``), workers call ``hook(spec, index, item)``
+#: ``module:function``), workers call ``hook(key, index, item)``
 #: immediately before evaluating each leased item.  The chaos harness
 #: uses it to crash (``os._exit``) or wedge (``time.sleep``) workers on
 #: chosen indices; production code never sets it.
@@ -129,33 +110,31 @@ def _load_test_hook():
 
 def _worker_main(worker_id: int, conn, warm_payload) -> None:
     """One engine worker: warm states resident, evaluate leases forever."""
-    states: dict[WarmSpec, WarmState] = {}
-    if _INHERITED_STATES is not None:
-        states.update(_INHERITED_STATES)
+    states = dict(_INHERITED_STATES or {})
     hook = _load_test_hook()
     try:
-        for spec, plan_path in warm_payload:
-            if spec not in states:
-                states[spec] = WarmState.build(spec, plan_path=plan_path)
+        for slot, key, plan_path in warm_payload:
+            if slot not in states:
+                states[slot] = kind_of(key).build(key, plan_path)
         while True:
             message = conn.recv()
             op = message[0]
             if op == "stop":
                 break
             if op == "warm":
-                _, spec, plan_path = message
-                if spec not in states:
-                    states[spec] = WarmState.build(spec, plan_path=plan_path)
-                conn.send(("warmed", worker_id, spec))
+                _, slot, key, plan_path = message
+                if slot not in states:
+                    states[slot] = kind_of(key).build(key, plan_path)
+                conn.send(("warmed", worker_id, slot))
             elif op == "eval":
-                _, campaign_id, spec, fraction, seed, indices = message
-                state = states[spec]
-                tested = state.tested(fraction, seed)
+                _, campaign_id, slot, sample, indices = message
+                state = states[slot]
+                tested = state.tested(sample)
                 items = []
                 for index in indices:
                     item = tested[index]
                     if hook is not None:
-                        hook(spec, index, item)
+                        hook(state.key, index, item)
                     result, delta = state.evaluate(item)
                     items.append((index, result, delta))
                 conn.send(("results", worker_id, campaign_id, items))
@@ -192,13 +171,14 @@ class _Lease:
 class Engine:
     """A resident pool of warm workers serving campaign requests.
 
-    ``warm`` lists requests (or :class:`WarmSpec`\\ s) whose state is
-    built before the pool forks — the zero-cost inheritance path.
+    ``warm`` lists requests whose state is built before the pool forks —
+    the zero-cost inheritance path; so is the state of a submission that
+    starts the engine, and any state handed over with :meth:`adopt`.
     Requests submitted later warm on first use.  ``scheduler_factory``
     (``(total, worker_count) -> scheduler``) replaces the default
-    :class:`StealScheduler`; ``start_method`` forces a multiprocessing
-    start method (default: ``REPRO_MP_START_METHOD``, else ``fork``
-    where available).  ``supervision`` is a
+    :class:`StealScheduler`.  Workers start with ``fork`` where the
+    platform has it, else ``spawn``; ``start_method`` forces one (the
+    test seam for the ``spawn`` path).  ``supervision`` is a
     `~repro.engine.supervision.SupervisionPolicy` (default: built from
     the ``REPRO_ENGINE_*`` environment); pass
     ``SupervisionPolicy.disabled()`` for the pre-supervision behaviour
@@ -231,9 +211,14 @@ class Engine:
             else SupervisionPolicy.from_env()
         )
         self._close_timeout = close_timeout
-        self._states: dict[WarmSpec, WarmState] = {}
-        self._plan_paths: dict[WarmSpec, str | None] = {}
-        self._worker_warmed: set[WarmSpec] = set()
+        #: ``(warm key, plan path)`` -> slot: the small id eval messages
+        #: name a resident state by.
+        self._slots: dict = {}
+        #: slot -> resident `~repro.campaign.CampaignKind` state.
+        self._states: dict = {}
+        #: slot -> plan file for workers that build the state themselves.
+        self._plan_files: dict = {}
+        self._worker_warmed: set[int] = set()
         self._conns: list = []
         self._procs: list = []
         #: Per-worker FIFO of :class:`_Lease` — every eval message sent
@@ -264,10 +249,16 @@ class Engine:
             return
         if self._closed:
             raise EngineError("engine already closed")
-        self._scratch = tempfile.mkdtemp(prefix="repro-engine-")
         for request in self._warm_requests:
-            self._warm_parent(self._spec_of(request))
-        self._ctx = _pool_context(self._start_method)
+            self._warm_parent(request.warm_key())
+        method = self._start_method
+        if method is None:
+            method = (
+                "fork"
+                if "fork" in multiprocessing.get_all_start_methods()
+                else "spawn"
+            )
+        self._ctx = multiprocessing.get_context(method)
         for worker_id in range(self.workers):
             conn, proc = self._spawn_worker(worker_id)
             self._conns.append(conn)
@@ -280,14 +271,15 @@ class Engine:
         """Start one worker against the current warm state.
 
         Used both by :meth:`start` and by mid-campaign respawns: the
-        payload is rebuilt from the *current* ``_states``/``_plan_paths``
-        maps, so a worker respawned after later warms still knows every
-        spec the pool has acknowledged.  Under ``fork`` the states are
-        inherited directly; under ``spawn`` the worker rebuilds from the
-        pickled specs and portable plan files.
+        payload is rebuilt from the *current* state maps, so a worker
+        respawned after later warms still knows every key the pool has
+        acknowledged.  Under ``fork`` the states are inherited directly;
+        under ``spawn`` the worker rebuilds from the pickled keys and
+        portable plan files.
         """
         payload = [
-            (spec, self._plan_paths.get(spec)) for spec in self._states
+            (slot, state.key, self._plan_files[slot])
+            for slot, state in self._states.items()
         ]
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         global _INHERITED_STATES
@@ -360,62 +352,50 @@ class Engine:
 
     # -- warm state ------------------------------------------------------
 
-    @staticmethod
-    def _spec_of(request) -> WarmSpec:
-        if isinstance(request, WarmSpec):
-            return request
-        return request.warm_spec()
+    def _warm_parent(self, key, plan_path=None, state=None) -> int:
+        """The slot of ``key``'s state in the parent, building it once."""
+        slot = self._slots.get((key, plan_path))
+        if slot is not None:
+            return slot
+        if state is None:
+            state = kind_of(key).build(key, plan_path)
+        if self._scratch is None:
+            self._scratch = tempfile.mkdtemp(prefix="repro-engine-")
+        slot = len(self._slots)
+        # Persist the plan so workers warmed *after* the fork load it
+        # instead of re-running the instrumented boot.
+        self._plan_files[slot] = state.portable_plan(
+            os.path.join(self._scratch, f"plan-{slot}.ckpt")
+        )
+        self._slots[(key, plan_path)] = slot
+        self._states[slot] = state
+        return slot
 
-    def _warm_parent(self, spec: WarmSpec) -> WarmState:
-        """Build the parent's copy of ``spec``'s state (plan included)."""
-        state = self._states.get(spec)
-        if state is not None:
-            return state
-        state = WarmState.build(spec)
-        plan_path = None
-        if spec.kind in (DRIVER_KIND, SCENARIO_KIND) and spec.boot_checkpoint:
-            # Persist the recorded plan so workers warmed *after* the
-            # fork load it instead of re-running the instrumented boot.
-            from repro.kernel.checkpoint import save_plan
-
-            plan_path = os.path.join(
-                self._scratch, f"plan-{len(self._plan_paths)}.ckpt"
-            )
-            save_plan(
-                state.context._plan,
-                plan_path,
-                state.setup.source,
-                state.setup.driver_filename,
-            )
-        self._states[spec] = state
-        self._plan_paths[spec] = plan_path
-        return state
-
-    def _ensure_warm(self, spec: WarmSpec) -> WarmState:
-        state = self._warm_parent(spec)
-        if self._started and spec not in self._worker_warmed:
-            plan_path = self._plan_paths.get(spec)
+    def _ensure_warm(self, key, plan_path=None, state=None) -> int:
+        slot = self._warm_parent(key, plan_path, state)
+        if self._started and slot not in self._worker_warmed:
+            message = ("warm", slot, key, self._plan_files[slot])
             pending = []
             for worker_id in range(self.workers):
                 try:
-                    self._conns[worker_id].send(("warm", spec, plan_path))
+                    self._conns[worker_id].send(message)
                     pending.append(worker_id)
                 except (BrokenPipeError, OSError) as error:
                     self._worker_died_warming(worker_id, error)
             for worker_id in pending:
                 try:
-                    self._await_warm_ack(worker_id, spec)
+                    self._await_warm_ack(worker_id, slot)
                 except (EOFError, OSError) as error:
                     self._worker_died_warming(worker_id, error)
-            self._worker_warmed.add(spec)
-        return state
+            self._worker_warmed.add(slot)
+        return slot
 
     def _worker_died_warming(self, worker_id: int, error) -> None:
         """A worker died during a warm broadcast: respawn or abort.
 
         A stale poison lease (or plain bad luck) can take a worker down
         between campaigns.  Under supervision the respawn builds every
-        resident spec — the one being broadcast included, it is already
+        resident key — the one being broadcast included, it is already
         in ``_states`` — so no acknowledgement is owed.
         """
         if not self.supervision.enabled:
@@ -425,7 +405,7 @@ class Engine:
             ) from error
         self._respawn(worker_id)
 
-    def _await_warm_ack(self, worker_id: int, spec) -> None:
+    def _await_warm_ack(self, worker_id: int, slot: int) -> None:
         conn = self._conns[worker_id]
         while True:
             message = conn.recv()
@@ -440,7 +420,7 @@ class Engine:
             raise EngineError(
                 f"engine worker {message[1]} failed:\n{message[2]}"
             )
-        if message[0] != "warmed" or message[2] != spec:
+        if message[0] != "warmed" or message[2] != slot:
             raise EngineError(
                 f"unexpected warm acknowledgement: {message[:2]}"
             )
@@ -449,38 +429,53 @@ class Engine:
         """Build (or broadcast) the warm state for ``request`` now."""
         if not self._started:
             self.start()
-        self._ensure_warm(self._spec_of(request))
+        self._ensure_warm(request.warm_key())
+
+    def adopt(self, state, plan_path=None) -> None:
+        """Make an already built kind state resident.
+
+        Adopted before :meth:`start`, the state is inherited by every
+        forked worker — how ``workers=N`` campaigns hand their state to a
+        throwaway engine without building it twice.
+        """
+        self._ensure_warm(state.key, plan_path, state)
 
     # -- campaign evaluation ---------------------------------------------
 
-    def submit(self, request, progress=None, on_result=None):
+    def submit(
+        self, request, progress=None, on_result=None, shard=None,
+        plan_path=None,
+    ):
         """Evaluate one campaign request against the warm pool.
 
-        Returns the same result object the serial runner produces:
-        `~repro.mutation.runner.CampaignResult` for
-        :class:`CampaignRequest`,
-        `~repro.mutation.runner.DevilCampaignResult` for
-        :class:`SpecRequest`,
-        `~repro.faults.campaign.FaultCampaignResult` for
-        :class:`FaultRequest`,
-        `~repro.mutation.runner.CampaignResult` labelled
-        ``scenario:<id>`` for :class:`ScenarioRequest` — byte-identical
-        to the cold-start equivalent.  ``on_result(index, result)`` streams results in
-        completion order; ``progress(done, total)`` mirrors the serial
-        runner's callback.
+        Returns the result object the serial runner produces for the
+        request's kind (`repro.campaign`) — byte-identical to the
+        cold-start equivalent.  ``on_result(index, result)`` streams
+        results in completion order; ``progress(done, total)`` mirrors
+        the serial runner's callback.  ``shard=(index, count)``
+        evaluates only that stride of the sampled items, and
+        ``plan_path`` loads the checkpoint plan from that file instead of
+        recording it (the shard runner's two seams).  An engine started
+        by its first submission builds that submission's state before
+        it forks, so its workers inherit it.
         """
-        if not self._started:
-            self.start()
         if self._closed:
             raise EngineError("engine already closed")
         request = request.resolved()
-        spec = request.warm_spec()
-        state = self._ensure_warm(spec)
-        tested = state.tested(request.fraction, request.seed)
+        key = request.warm_key()
+        if not self._started:
+            self._warm_parent(key, plan_path)
+            self.start()
+        slot = self._ensure_warm(key, plan_path)
+        state = self._states[slot]
+        tested = state.tested(request.sample)
+        indices = range(len(tested))
+        if shard is not None:
+            indices = shard_indices(len(tested), *shard)
         try:
             results, stats, quarantined = self._evaluate(
-                spec, state, tested, request.fraction, request.seed,
-                progress, on_result,
+                slot, state, tested, request.sample, indices, progress,
+                on_result,
             )
         except BaseException:
             # A failed campaign must not poison the pool: respawn any
@@ -490,83 +485,18 @@ class Engine:
             if self.supervision.enabled and not self._closed:
                 self._repair_pool()
             raise
-        if spec.kind == FAULT_KIND:
-            campaign = FaultCampaignResult(
-                driver=spec.driver,
-                mode=spec.mode,
-                seed=request.seed,
-                per_dimension=request.per_dimension,
-                injection=request.injection,
-                granularity=spec.granularity,
-                dimensions=tuple(request.dimensions),
-                clean_steps=state.fault_context.clean_steps,
-                step_budget=state.fault_context.budget,
-            )
-            campaign.results = results
-            campaign.checkpoint_stats = stats
-            campaign.quarantine = quarantined
-            return campaign
-        if spec.kind == DEVIL_KIND:
-            campaign = DevilCampaignResult(
-                spec_name=spec.spec_name,
-                lines=state.lines,
-                sites=state.sites,
-                enumerated=state.enumerated,
-            )
-            campaign.results = results
-            campaign.quarantine = quarantined
-            return campaign
-        campaign = CampaignResult(
-            # Scenario campaigns carry the serial runner's label so an
-            # engine result compares byte-identical to a serial one.
-            driver=(
-                f"scenario:{spec.spec_name}"
-                if spec.kind == SCENARIO_KIND
-                else spec.driver
-            ),
-            enumerated=state.enumerated,
-            clean_steps=state.setup.clean_steps,
-            step_budget=state.setup.budget,
-        )
-        campaign.results = results
-        campaign.checkpoint_stats = stats
-        campaign.quarantine = quarantined
-        return campaign
+        return state.assemble(request, results, stats, quarantined)
 
-    def run_campaign(self, request: CampaignRequest, progress=None, on_result=None) -> CampaignResult:
-        """`submit`, typed for driver campaigns (Tables 3/4)."""
-        if not isinstance(request, CampaignRequest):
-            raise EngineError(
-                f"run_campaign takes a CampaignRequest, got {type(request)!r}"
-            )
-        return self.submit(request, progress=progress, on_result=on_result)
-
-    def run_fault_campaign(
-        self, request: FaultRequest, progress=None, on_result=None
-    ) -> FaultCampaignResult:
-        """`submit`, typed for environment-fault campaigns (`repro.faults`)."""
-        if not isinstance(request, FaultRequest):
-            raise EngineError(
-                f"run_fault_campaign takes a FaultRequest, got {type(request)!r}"
-            )
-        return self.submit(request, progress=progress, on_result=on_result)
-
-    def run_scenario_campaign(
-        self, request: ScenarioRequest, progress=None, on_result=None
-    ) -> CampaignResult:
-        """`submit`, typed for generated-scenario campaigns (`repro.scenarios`)."""
-        if not isinstance(request, ScenarioRequest):
-            raise EngineError(
-                f"run_scenario_campaign takes a ScenarioRequest, "
-                f"got {type(request)!r}"
-            )
-        return self.submit(request, progress=progress, on_result=on_result)
+    #: The kind-named spellings of :meth:`submit`.
+    run_campaign = run_fault_campaign = submit
 
     def _evaluate(
-        self, spec, state, tested, fraction, seed, progress, on_result
-    ) -> tuple[list[MutantResult], dict | None, tuple]:
-        total = len(tested)
-        results: list[MutantResult | None] = [None] * total
+        self, slot, state, tested, sample, indices, progress, on_result
+    ) -> tuple[list, dict | None, tuple]:
+        order = list(indices)
+        position_of = {index: position for position, index in enumerate(order)}
+        total = len(order)
+        results: list = [None] * total
         stats: dict | None = None
         quarantined: list[QuarantineRecord] = []
         if total == 0:
@@ -632,9 +562,10 @@ class Engine:
             if not indices:
                 return True  # empty lease: legal no-op, ask again later
             try:
-                self._conns[worker_id].send(
-                    ("eval", campaign_id, spec, fraction, seed, indices)
-                )
+                self._conns[worker_id].send((
+                    "eval", campaign_id, slot, sample,
+                    [order[position] for position in indices],
+                ))
             except (BrokenPipeError, OSError) as error:
                 if not policy.enabled:
                     raise EngineError(
@@ -652,12 +583,12 @@ class Engine:
             outstanding += 1
             return True
 
-        def record(index: int, result, delta) -> None:
+        def record(position: int, result, delta) -> None:
             nonlocal done, stats
-            results[index] = result
-            stats = _merge_stats(stats, delta)
+            results[position] = result
+            stats = merge_stats(stats, delta)
             if on_result is not None:
-                on_result(index, result)
+                on_result(order[position], result)
             if progress is not None:
                 progress(done, total)
             done += 1
@@ -679,22 +610,21 @@ class Engine:
                 return  # stale frame from a failed campaign: drained
             outstanding -= 1
             for index, result, delta in items:
-                record(index, result, delta)
+                record(position_of[index], result, delta)
             if refill:
                 dispatch(worker_id)
 
-        def quarantine(index: int, kind: str, attempts: int) -> None:
-            item = tested[index]
-            row = state.crash_result(item, kind, attempts)
+        def quarantine(position: int, kind: str, attempts: int) -> None:
+            item = tested[order[position]]
             entry = QuarantineRecord(
                 kind=kind,
-                index=index,
-                item=state.describe_item(item),
+                index=order[position],
+                item=state.describe(item),
                 attempts=attempts,
             )
             quarantined.append(entry)
             self.quarantine.append(entry)
-            record(index, row, None)
+            record(position, state.crash_result(item, kind, attempts), None)
 
         def handle_lost_lease(indices: tuple, kind: str) -> None:
             if len(indices) == 1:
@@ -866,47 +796,3 @@ class Engine:
                 fail_worker(worker_id, "crash")
         assert all(result is not None for result in results)
         return results, stats, tuple(quarantined)  # type: ignore[return-value]
-
-def run_engine_campaign(
-    driver: str = "c",
-    mode: str = "debug",
-    fraction: float = 1.0,
-    seed: int = DEFAULT_SEED,
-    *,
-    workers: int | None = None,
-    backend: str | None = None,
-    compile_cache: bool = True,
-    boot_checkpoint: bool | None = None,
-    checkpoint_granularity: str | None = None,
-    step_budget: int | None = None,
-    scheduler_factory=None,
-    start_method: str | None = None,
-    supervision: SupervisionPolicy | None = None,
-    progress=None,
-) -> CampaignResult:
-    """One-call engine campaign: warm, fork, evaluate, tear down.
-
-    The throwaway-engine convenience behind ``run-local --engine``,
-    ``table3/table4 --engine`` and quick scripts; long-running services
-    hold an :class:`Engine` (or talk to the `repro.engine.daemon`) so
-    the warm state outlives a single campaign.
-    """
-    request = CampaignRequest(
-        driver=driver,
-        mode=mode,
-        fraction=fraction,
-        seed=seed,
-        backend=backend,
-        compile_cache=compile_cache,
-        boot_checkpoint=boot_checkpoint,
-        granularity=checkpoint_granularity,
-        step_budget=step_budget,
-    )
-    with Engine(
-        workers=workers,
-        warm=(request,),
-        scheduler_factory=scheduler_factory,
-        start_method=start_method,
-        supervision=supervision,
-    ) as engine:
-        return engine.run_campaign(request, progress=progress)

@@ -4,39 +4,38 @@
 once, and then answers campaign requests for the life of the process —
 the long-running form of the engine, where the warm state outlives not
 just campaigns but the submitting processes.  :class:`EngineClient` is
-the matching client: submit a :class:`repro.engine.CampaignRequest` (or
-:class:`~repro.engine.SpecRequest`), receive per-mutant results streamed
-in completion order, and get back the same result object — byte for
-byte — that the in-process serial runner would have produced.
+the matching client: submit any campaign request, receive per-item
+results streamed in completion order, and get back the same result
+object — byte for byte — that the in-process serial runner would have
+produced.
 
 Wire format: length-prefixed pickle frames, the same trusted-local
 trade-off the distributed shard files make (`repro.serialize`): the
 socket path is the trust boundary, so keep it in a directory only you
-can write.  Client frames are ``("campaign", CampaignRequest)``,
-``("spec-campaign", SpecRequest)``,
-``("fault-campaign", FaultRequest)``,
-``("scenario-campaign", ScenarioRequest)``, ``("ping",)`` and
-``("shutdown",)``;
-the server answers a campaign with a stream of
-``("result", index, MutantResult)`` frames in completion order,
-terminated by ``("done", summary)``.  A campaign that *fails* —
-typically the supervised engine exhausting its respawn budget — ends
-the stream with a typed ``("failed", info)`` frame instead, which the
-client raises as :class:`CampaignFailedError` (``info`` names the
-exception type and message); ``("error", message)`` is reserved for
-malformed requests.  The client reassembles the stream by sampled
-index, which is exactly the merge the engine itself performs, so
-daemon round-trips preserve byte-identity.
+can write.  Client frames are ``("campaign", request)`` — any campaign
+kind's request (`repro.engine.state`) — ``("ping",)`` and
+``("shutdown",)``.  The server answers a campaign with a stream of
+``("result", index, result)`` frames in completion order, terminated by
+``("done", campaign)``: the kind's result object with its ``results``
+list emptied, which the client refills by sampled index — exactly the
+merge the engine itself performs, so daemon round-trips preserve
+byte-identity.  A campaign that *fails* — typically the supervised
+engine exhausting its respawn budget — ends the stream with a typed
+``("failed", info)`` frame instead, which the client raises as
+:class:`CampaignFailedError` (``info`` names the exception type and
+message); ``("error", message)`` is reserved for malformed requests.
 
 The serve loop is failure-isolated per connection: a client that
 vanishes mid-stream (``BrokenPipeError``/``ConnectionResetError``
-while results are being pushed) or sends garbage costs only that
-connection — the daemon logs it and goes back to ``accept``, warm
+while results are being pushed), sends garbage, or does not deliver a
+whole request frame within :data:`REQUEST_DEADLINE` seconds costs only
+that connection — the daemon logs it and goes back to ``accept``, warm
 state intact.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import pickle
 import signal
@@ -46,15 +45,7 @@ import struct
 import sys
 import time
 
-from repro.mutation.runner import CampaignResult, DevilCampaignResult
-from repro.faults.campaign import FaultCampaignResult
 from repro.engine.core import Engine, EngineError
-from repro.engine.state import (
-    CampaignRequest,
-    FaultRequest,
-    ScenarioRequest,
-    SpecRequest,
-)
 
 _LENGTH = struct.Struct(">I")
 
@@ -63,6 +54,11 @@ _LENGTH = struct.Struct(">I")
 #: backs off instead of hammering the socket at a fixed 50 ms.
 _CONNECT_BACKOFF_BASE = 0.01
 _CONNECT_BACKOFF_CAP = 0.5
+
+#: Seconds a connection gets to deliver one whole request frame.  The
+#: daemon serves one connection at a time, so without a deadline a
+#: client that stalls mid-frame would block every other client.
+REQUEST_DEADLINE = 5.0
 
 
 class CampaignFailedError(EngineError):
@@ -87,23 +83,38 @@ def send_frame(sock: socket.socket, payload) -> None:
     sock.sendall(_LENGTH.pack(len(data)) + data)
 
 
-def recv_frame(sock: socket.socket):
-    """One frame, or ``None`` on a cleanly closed connection."""
-    header = _recv_exact(sock, _LENGTH.size)
+def recv_frame(sock: socket.socket, deadline: float | None = None):
+    """One frame, or ``None`` on a cleanly closed connection.
+
+    ``deadline`` (a ``time.monotonic()`` instant) bounds the whole frame:
+    a peer that has not delivered it by then raises :class:`EngineError`.
+    """
+    header = _recv_exact(sock, _LENGTH.size, deadline)
     if header is None:
         return None
     (length,) = _LENGTH.unpack(header)
-    data = _recv_exact(sock, length)
+    data = _recv_exact(sock, length, deadline)
     if data is None:
         raise EngineError("connection closed mid-frame")
     return pickle.loads(data)
 
 
-def _recv_exact(sock: socket.socket, count: int) -> bytes | None:
+def _recv_exact(sock: socket.socket, count: int, deadline=None) -> bytes | None:
     chunks: list[bytes] = []
     remaining = count
     while remaining:
-        chunk = sock.recv(remaining)
+        if deadline is not None:
+            left = deadline - time.monotonic()
+            if left <= 0:
+                raise EngineError("request frame not received in time")
+            sock.settimeout(left)
+        try:
+            chunk = sock.recv(remaining)
+        except socket.timeout:
+            raise EngineError("request frame not received in time") from None
+        finally:
+            if deadline is not None:
+                sock.settimeout(None)
         if not chunk:
             if chunks:
                 raise EngineError("connection closed mid-frame")
@@ -111,84 +122,6 @@ def _recv_exact(sock: socket.socket, count: int) -> bytes | None:
         chunks.append(chunk)
         remaining -= len(chunk)
     return b"".join(chunks)
-
-
-def _summary_of(campaign) -> dict:
-    """The non-streamed remainder of a result object, for ``done``."""
-    if isinstance(campaign, DevilCampaignResult):
-        return {
-            "kind": "devil",
-            "spec_name": campaign.spec_name,
-            "lines": campaign.lines,
-            "sites": campaign.sites,
-            "enumerated": campaign.enumerated,
-            "quarantine": campaign.quarantine,
-        }
-    if isinstance(campaign, FaultCampaignResult):
-        return {
-            "kind": "fault",
-            "driver": campaign.driver,
-            "mode": campaign.mode,
-            "seed": campaign.seed,
-            "per_dimension": campaign.per_dimension,
-            "injection": campaign.injection,
-            "granularity": campaign.granularity,
-            "dimensions": campaign.dimensions,
-            "clean_steps": campaign.clean_steps,
-            "step_budget": campaign.step_budget,
-            "checkpoint_stats": campaign.checkpoint_stats,
-            "quarantine": campaign.quarantine,
-        }
-    return {
-        "kind": "driver",
-        "driver": campaign.driver,
-        "enumerated": campaign.enumerated,
-        "clean_steps": campaign.clean_steps,
-        "step_budget": campaign.step_budget,
-        "checkpoint_stats": campaign.checkpoint_stats,
-        "quarantine": campaign.quarantine,
-    }
-
-
-def _assemble(summary: dict, indexed_results: list) -> object:
-    """The client-side inverse of streaming: merge by sampled index."""
-    results = [result for _, result in sorted(indexed_results)]
-    if summary["kind"] == "devil":
-        campaign = DevilCampaignResult(
-            spec_name=summary["spec_name"],
-            lines=summary["lines"],
-            sites=summary["sites"],
-            enumerated=summary["enumerated"],
-        )
-        campaign.results = results
-        campaign.quarantine = summary.get("quarantine", ())
-        return campaign
-    if summary["kind"] == "fault":
-        campaign = FaultCampaignResult(
-            driver=summary["driver"],
-            mode=summary["mode"],
-            seed=summary["seed"],
-            per_dimension=summary["per_dimension"],
-            injection=summary["injection"],
-            granularity=summary["granularity"],
-            dimensions=summary["dimensions"],
-            clean_steps=summary["clean_steps"],
-            step_budget=summary["step_budget"],
-        )
-        campaign.results = results
-        campaign.checkpoint_stats = summary["checkpoint_stats"]
-        campaign.quarantine = summary.get("quarantine", ())
-        return campaign
-    campaign = CampaignResult(
-        driver=summary["driver"],
-        enumerated=summary["enumerated"],
-        clean_steps=summary["clean_steps"],
-        step_budget=summary["step_budget"],
-    )
-    campaign.results = results
-    campaign.checkpoint_stats = summary["checkpoint_stats"]
-    campaign.quarantine = summary.get("quarantine", ())
-    return campaign
 
 
 def _claim_socket_path(socket_path: str) -> None:
@@ -240,7 +173,6 @@ def serve(
     socket_path: str,
     workers: int | None = None,
     warm=(),
-    start_method: str | None = None,
     ready=None,
     supervision=None,
 ) -> None:
@@ -266,12 +198,7 @@ def serve(
         signum: signal.signal(signum, _terminate)
         for signum in (signal.SIGTERM, signal.SIGINT)
     }
-    engine = Engine(
-        workers=workers,
-        warm=warm,
-        start_method=start_method,
-        supervision=supervision,
-    )
+    engine = Engine(workers=workers, warm=warm, supervision=supervision)
     try:
         engine.start()
         if ready is not None:
@@ -314,7 +241,7 @@ def serve(
 def _handle(conn: socket.socket, engine: Engine) -> bool:
     """Serve one connection; ``False`` stops the accept loop."""
     while True:
-        frame = recv_frame(conn)
+        frame = recv_frame(conn, time.monotonic() + REQUEST_DEADLINE)
         if frame is None:
             return True
         op = frame[0]
@@ -323,16 +250,10 @@ def _handle(conn: socket.socket, engine: Engine) -> bool:
         elif op == "shutdown":
             send_frame(conn, ("ok",))
             return False
-        elif op in (
-            "campaign",
-            "spec-campaign",
-            "fault-campaign",
-            "scenario-campaign",
-        ):
-            request = frame[1]
+        elif op == "campaign":
             try:
                 campaign = engine.submit(
-                    request,
+                    frame[1],
                     on_result=lambda index, result: send_frame(
                         conn, ("result", index, result)
                     ),
@@ -355,7 +276,9 @@ def _handle(conn: socket.socket, engine: Engine) -> bool:
                     ),
                 )
                 return True
-            send_frame(conn, ("done", _summary_of(campaign)))
+            send_frame(
+                conn, ("done", dataclasses.replace(campaign, results=[]))
+            )
         else:
             send_frame(conn, ("error", f"unknown request {op!r}"))
             return True
@@ -403,66 +326,15 @@ class EngineClient:
             send_frame(sock, ("shutdown",))
             recv_frame(sock)
 
-    def run_campaign(
-        self, request: CampaignRequest, on_result=None
-    ) -> CampaignResult:
-        """A driver campaign through the daemon — serial-identical.
+    def submit(self, request, on_result=None):
+        """A campaign of any kind through the daemon — serial-identical.
 
-        ``on_result(index, result)`` observes the per-mutant stream in
+        ``on_result(index, result)`` observes the per-item stream in
         completion order (the daemon sends results as workers finish
         them, before the campaign is complete).
         """
-        if not isinstance(request, CampaignRequest):
-            raise EngineError(
-                f"run_campaign takes a CampaignRequest, got {type(request)!r}"
-            )
-        return self._submit("campaign", request, on_result)
-
-    def run_spec_campaign(
-        self, request: SpecRequest, on_result=None
-    ) -> DevilCampaignResult:
-        if not isinstance(request, SpecRequest):
-            raise EngineError(
-                f"run_spec_campaign takes a SpecRequest, "
-                f"got {type(request)!r}"
-            )
-        return self._submit("spec-campaign", request, on_result)
-
-    def run_fault_campaign(
-        self, request: FaultRequest, on_result=None
-    ) -> FaultCampaignResult:
-        """An environment-fault campaign (`repro.faults`) via the daemon."""
-        if not isinstance(request, FaultRequest):
-            raise EngineError(
-                f"run_fault_campaign takes a FaultRequest, "
-                f"got {type(request)!r}"
-            )
-        return self._submit("fault-campaign", request, on_result)
-
-    def run_scenario_campaign(
-        self, request: ScenarioRequest, on_result=None
-    ) -> CampaignResult:
-        """A generated-scenario campaign (`repro.scenarios`) via the daemon."""
-        if not isinstance(request, ScenarioRequest):
-            raise EngineError(
-                f"run_scenario_campaign takes a ScenarioRequest, "
-                f"got {type(request)!r}"
-            )
-        return self._submit("scenario-campaign", request, on_result)
-
-    def submit(self, request, on_result=None):
-        """Dispatch on request type, mirroring ``Engine.submit``."""
-        if isinstance(request, SpecRequest):
-            return self.run_spec_campaign(request, on_result)
-        if isinstance(request, FaultRequest):
-            return self.run_fault_campaign(request, on_result)
-        if isinstance(request, ScenarioRequest):
-            return self.run_scenario_campaign(request, on_result)
-        return self.run_campaign(request, on_result)
-
-    def _submit(self, op: str, request, on_result):
         with self._connect() as sock:
-            send_frame(sock, (op, request))
+            send_frame(sock, ("campaign", request))
             indexed = []
             while True:
                 frame = recv_frame(sock)
@@ -477,7 +349,13 @@ class EngineClient:
                         on_result(index, result)
                     indexed.append((index, result))
                 elif kind == "done":
-                    return _assemble(frame[1], indexed)
+                    campaign = frame[1]
+                    campaign.results = [
+                        result for _, result in sorted(
+                            indexed, key=lambda pair: pair[0]
+                        )
+                    ]
+                    return campaign
                 elif kind == "failed":
                     raise CampaignFailedError(frame[1])
                 elif kind == "error":

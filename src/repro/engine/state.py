@@ -1,556 +1,61 @@
-"""Campaign requests and the warm per-process state that serves them.
+"""Campaign requests and the one lookup from a request to its kind.
 
-A campaign request is everything that identifies one evaluation run:
-:class:`CampaignRequest` for driver campaigns (Tables 3/4),
-:class:`SpecRequest` for Devil specification campaigns (Table 2 rows).
-Requests split into two parts with very different costs:
+Each campaign kind (`repro.campaign`) ships its own frozen request
+type — :class:`CampaignRequest` for driver campaigns (Tables 3/4),
+:class:`SpecRequest` for Devil specification campaigns (Table 2 rows),
+:class:`ScenarioRequest` for generated scenarios and
+:class:`FaultRequest` for environment faults.  A request splits into
+two parts with very different costs:
 
-* the **warm spec** (:class:`WarmSpec`, via ``.warm_spec()``) — the
-  fields that determine the expensive resident state: assembled
-  sources, the enumerated mutant population, the compiled baseline, the
-  incremental campaign compiler, and (for checkpointed driver
-  campaigns) the recorded checkpoint plan with its pristine machine
-  snapshot.  Building this costs a baseline boot plus an instrumented
-  recording boot — the per-shard fixed cost that made PR 5's small
-  shards slower than serial;
-* the **sampling parameters** ``(fraction, seed)`` — cheap to apply:
-  `repro.mutation.sampling.sample_mutants` over the already-enumerated
-  population.
+* the **warm key** (``request.warm_key()``) — the resolved request with
+  its sampling fields cleared.  It determines the expensive resident
+  state: assembled sources, the enumerated population, the compiled
+  baseline, the incremental compiler and, for checkpointed campaigns,
+  the recorded plan with its pristine machine snapshot;
+* the **sample** (``request.sample``, e.g. ``(fraction, seed)``) — cheap
+  to apply to the already-built population.
 
-:class:`WarmState` holds one warm spec's resident state and evaluates
-arbitrary sampled indices against it.  Two campaigns whose requests
-share a warm spec — any ``(fraction, seed)`` pair, submitted at any
-time — reuse the same resident state, which is the entire point of the
-engine: the fixed cost is paid once per spec per process lifetime, not
-once per campaign per OS process.
-
-Evaluation defers to the exact code paths the serial runner uses
-(`repro.mutation.runner._run_one` for driver mutants,
-`repro.devil.incremental.SpecCampaignCompiler` / ``spec_errors`` for
-spec mutants), so a warm evaluation is the serial evaluation — same
-compile splices, same backends, same checkpoint mapping — merely
-without the per-process setup around it.
+Two campaigns whose requests share a warm key — any sample, submitted
+at any time — reuse the same resident state, which is the entire point
+of the engine: the fixed cost is paid once per key per process
+lifetime, not once per campaign per OS process.  The resident state is
+the kind's own object, so a warm evaluation *is* the serial evaluation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from repro.kernel.checkpoint import (
-    GRANULARITIES,
-    checkpointing_enabled_by_env,
-    granularity_from_env,
-    pinned_granularity,
-)
-from repro.mutation.model import Mutant
+from repro.campaign import CampaignKind
+from repro.faults.campaign import FaultCampaign, FaultRequest
 from repro.mutation.runner import (
-    MutantResult,
-    # The engine is the campaign loop's other front end: it deliberately
-    # reuses the runner's internal evaluation context and per-mutant
-    # entry point so engine results are the serial results by
-    # construction, not by parallel re-implementation.
-    _EvalContext,
-    _run_one,
-    _stats_delta,
-    prepare_campaign,
+    CampaignRequest,
+    DevilCampaign,
+    DriverCampaign,
+    SpecRequest,
 )
-from repro.mutation.sampling import DEFAULT_SEED, sample_mutants
-from repro.faults.campaign import (
-    FaultContext,
-    INJECTIONS,
-    injection_from_env,
-)
-from repro.faults.plan import build_fault_plan, dimensions_from_env
+from repro.scenarios.campaign import ScenarioCampaign, ScenarioRequest
 
-DRIVER_KIND = "driver"
-DEVIL_KIND = "devil"
-FAULT_KIND = "fault"
-SCENARIO_KIND = "scenario"
+#: Request type -> campaign kind: the engine's only per-kind knowledge.
+KINDS: dict[type, type[CampaignKind]] = {
+    kind.request_type: kind
+    for kind in (DriverCampaign, DevilCampaign, ScenarioCampaign, FaultCampaign)
+}
 
 
-@dataclass(frozen=True)
-class WarmSpec:
-    """The hashable identity of one unit of warm resident state."""
-
-    kind: str = DRIVER_KIND
-    driver: str = "c"
-    mode: str = "debug"
-    #: Devil-spec campaigns only (``kind="devil"``).
-    spec_name: str | None = None
-    backend: str | None = None
-    compile_cache: bool = True
-    boot_checkpoint: bool = False
-    granularity: str = "subcall"
-    granularity_pinned: bool = False
-    step_budget: int | None = None
+def kind_of(request) -> type[CampaignKind]:
+    """The campaign kind serving ``request`` (a request or a warm key)."""
+    try:
+        return KINDS[type(request)]
+    except KeyError:
+        raise TypeError(
+            f"not a campaign request: {type(request).__name__}"
+        ) from None
 
 
-@dataclass(frozen=True)
-class CampaignRequest:
-    """One driver mutation campaign, as the engine accepts it.
-
-    ``boot_checkpoint=None`` and ``granularity=None`` resolve from the
-    environment exactly like ``run_driver_campaign`` (so an engine-backed
-    campaign honours ``REPRO_BOOT_CHECKPOINT`` /
-    ``REPRO_CHECKPOINT_GRANULARITY`` the same way a direct one does);
-    :meth:`resolved` pins them to concrete values at submission time.
-    """
-
-    driver: str = "c"
-    mode: str = "debug"
-    fraction: float = 1.0
-    seed: int = DEFAULT_SEED
-    backend: str | None = None
-    compile_cache: bool = True
-    boot_checkpoint: bool | None = None
-    granularity: str | None = None
-    step_budget: int | None = None
-
-    def resolved(self) -> "CampaignRequest":
-        boot_checkpoint = self.boot_checkpoint
-        if boot_checkpoint is None:
-            boot_checkpoint = checkpointing_enabled_by_env()
-        granularity = self.granularity
-        if granularity is None and boot_checkpoint:
-            granularity = granularity_from_env()
-        if granularity is not None and granularity not in GRANULARITIES:
-            raise ValueError(f"unknown granularity {granularity!r}")
-        return CampaignRequest(
-            driver=self.driver,
-            mode=self.mode,
-            fraction=self.fraction,
-            seed=self.seed,
-            backend=self.backend,
-            compile_cache=self.compile_cache,
-            boot_checkpoint=boot_checkpoint,
-            granularity=granularity if granularity is not None else "subcall",
-            step_budget=self.step_budget,
-        )
-
-    def warm_spec(self) -> WarmSpec:
-        request = self.resolved()
-        boot_checkpoint = bool(request.boot_checkpoint)
-        return WarmSpec(
-            kind=DRIVER_KIND,
-            driver=request.driver,
-            mode=request.mode,
-            backend=request.backend,
-            compile_cache=request.compile_cache,
-            boot_checkpoint=boot_checkpoint,
-            granularity=request.granularity or "subcall",
-            granularity_pinned=boot_checkpoint
-            and pinned_granularity(self.granularity) is not None,
-            step_budget=request.step_budget,
-        )
-
-
-@dataclass(frozen=True)
-class SpecRequest:
-    """One Devil specification campaign (a Table 2 row) for the engine."""
-
-    spec_name: str
-    fraction: float = 1.0
-    seed: int = DEFAULT_SEED
-    compile_cache: bool = True
-
-    def resolved(self) -> "SpecRequest":
-        return self
-
-    def warm_spec(self) -> WarmSpec:
-        return WarmSpec(
-            kind=DEVIL_KIND,
-            spec_name=self.spec_name,
-            compile_cache=self.compile_cache,
-        )
-
-
-@dataclass(frozen=True)
-class ScenarioRequest:
-    """One generated-scenario mutation campaign (`repro.scenarios`).
-
-    The scenario is identified by its stable corpus id
-    (``"polling-003"``) — pure data, so the request pickles across the
-    daemon socket and every worker rebuilds the identical scenario
-    deterministically.  Checkpoint fields resolve from the environment
-    exactly like :class:`CampaignRequest`.
-    """
-
-    scenario_id: str
-    fraction: float = 1.0
-    seed: int = DEFAULT_SEED
-    backend: str | None = None
-    compile_cache: bool = True
-    boot_checkpoint: bool | None = None
-    granularity: str | None = None
-    step_budget: int | None = None
-
-    def resolved(self) -> "ScenarioRequest":
-        boot_checkpoint = self.boot_checkpoint
-        if boot_checkpoint is None:
-            boot_checkpoint = checkpointing_enabled_by_env()
-        granularity = self.granularity
-        if granularity is None and boot_checkpoint:
-            granularity = granularity_from_env()
-        if granularity is not None and granularity not in GRANULARITIES:
-            raise ValueError(f"unknown granularity {granularity!r}")
-        return ScenarioRequest(
-            scenario_id=self.scenario_id,
-            fraction=self.fraction,
-            seed=self.seed,
-            backend=self.backend,
-            compile_cache=self.compile_cache,
-            boot_checkpoint=boot_checkpoint,
-            granularity=granularity if granularity is not None else "subcall",
-            step_budget=self.step_budget,
-        )
-
-    def warm_spec(self) -> WarmSpec:
-        request = self.resolved()
-        boot_checkpoint = bool(request.boot_checkpoint)
-        return WarmSpec(
-            kind=SCENARIO_KIND,
-            # ``spec_name`` doubles as the scenario id: the warm state's
-            # identity is the scenario slot, not a bundled driver name.
-            spec_name=self.scenario_id,
-            backend=request.backend,
-            compile_cache=request.compile_cache,
-            boot_checkpoint=boot_checkpoint,
-            granularity=request.granularity or "subcall",
-            granularity_pinned=boot_checkpoint
-            and pinned_granularity(self.granularity) is not None,
-            step_budget=request.step_budget,
-        )
-
-
-@dataclass(frozen=True)
-class FaultRequest:
-    """One environment-fault campaign (`repro.faults`) for the engine.
-
-    The expensive warm state is the armed instrumented clean boot — the
-    checkpoint plan with embedded injector counters plus the access
-    profile; the cheap sampling parameters are ``(per_dimension, seed,
-    dimensions)``, which flow through the engine's generic
-    ``(fraction, seed)`` evaluation protocol as the :attr:`fraction`
-    tuple.  ``injection``/``granularity``/``dimensions`` default from
-    the same environment variables ``run_fault_campaign`` honours;
-    :meth:`resolved` pins them at submission time.
-    """
-
-    driver: str = "c"
-    mode: str = "debug"
-    seed: int = DEFAULT_SEED
-    per_dimension: int = 8
-    dimensions: tuple[str, ...] | None = None
-    injection: str | None = None
-    backend: str | None = None
-    granularity: str | None = None
-    step_budget: int | None = None
-
-    @property
-    def fraction(self):
-        """The sampling key the generic eval protocol ships to workers."""
-        return (self.per_dimension, self.dimensions)
-
-    def resolved(self) -> "FaultRequest":
-        injection = self.injection
-        if injection is None:
-            injection = injection_from_env()
-        if injection not in INJECTIONS:
-            raise ValueError(f"unknown fault injection mode {injection!r}")
-        granularity = self.granularity
-        if granularity is None:
-            granularity = granularity_from_env()
-        if granularity not in GRANULARITIES:
-            raise ValueError(f"unknown granularity {granularity!r}")
-        dimensions = self.dimensions
-        if dimensions is None:
-            dimensions = dimensions_from_env()
-        return FaultRequest(
-            driver=self.driver,
-            mode=self.mode,
-            seed=self.seed,
-            per_dimension=self.per_dimension,
-            dimensions=tuple(dimensions),
-            injection=injection,
-            backend=self.backend,
-            granularity=granularity,
-            step_budget=self.step_budget,
-        )
-
-    def warm_spec(self) -> WarmSpec:
-        request = self.resolved()
-        return WarmSpec(
-            kind=FAULT_KIND,
-            driver=request.driver,
-            mode=request.mode,
-            backend=request.backend,
-            # ``boot_checkpoint`` doubles as the injection switch: True
-            # resumes faults from recorded snapshots, False cold-boots.
-            boot_checkpoint=request.injection == "checkpoint",
-            granularity=request.granularity,
-            step_budget=request.step_budget,
-        )
-
-
-@dataclass
-class WarmState:
-    """One warm spec's resident state, shared by all its campaigns."""
-
-    spec: WarmSpec
-    #: Driver campaigns: the full deterministic campaign setup
-    #: (`repro.mutation.runner.CampaignSetup`) and the evaluation
-    #: context whose plan/machine snapshots stay resident.
-    setup: object | None = None
-    context: _EvalContext | None = None
-    #: Fault campaigns: the armed recorded boot + access profile
-    #: (`repro.faults.campaign.FaultContext`).
-    fault_context: FaultContext | None = None
-    #: Devil campaigns.
-    source: str | None = None
-    compiler: object | None = None
-    mutants: list[Mutant] = field(default_factory=list)
-    lines: int = 0
-    sites: int = 0
-    #: Sampled ``tested`` lists per ``(fraction, seed)`` — cheap to
-    #: derive, cached so repeated submissions don't resample.
-    _samples: dict = field(default_factory=dict)
-
-    @classmethod
-    def build(cls, spec: WarmSpec, plan_path: str | None = None) -> "WarmState":
-        """Build (and eagerly warm) the resident state for ``spec``.
-
-        ``plan_path`` short-circuits checkpoint-plan recording with a
-        portable plan file (`repro.kernel.checkpoint.save_plan` format):
-        the engine's parent process records the instrumented clean boot
-        once and ships the file to workers warmed after the pool forked,
-        instead of every worker paying its own recording boot.
-        """
-        if spec.kind == DEVIL_KIND:
-            return cls._build_devil(spec)
-        if spec.kind == FAULT_KIND:
-            return cls._build_fault(spec)
-        if spec.kind == SCENARIO_KIND:
-            return cls._build_scenario(spec, plan_path)
-        setup = prepare_campaign(
-            spec.driver,
-            spec.mode,
-            fraction=1.0,
-            seed=DEFAULT_SEED,
-            step_budget=spec.step_budget,
-            backend=spec.backend,
-            compile_cache=spec.compile_cache,
-        )
-        context = _EvalContext.build(
-            setup.source,
-            setup.driver_filename,
-            setup.registry,
-            setup.budget,
-            spec.backend,
-            spec.compile_cache,
-            checkpoint=spec.boot_checkpoint,
-            granularity=spec.granularity,
-            compiler=setup.compiler,
-            plan_path=plan_path,
-            granularity_pinned=spec.granularity_pinned,
-        )
-        state = cls(spec=spec, setup=setup, context=context)
-        if spec.boot_checkpoint:
-            # Warm eagerly: the recorded (or loaded) plan, its machine
-            # and the pristine snapshot become resident *now*, before
-            # the pool forks, so every worker inherits them.
-            context.ensure_plan()
-        return state
-
-    @classmethod
-    def _build_devil(cls, spec: WarmSpec) -> "WarmState":
-        from repro.devil.compiler import compile_spec, parse_spec
-        from repro.devil.incremental import SpecCampaignCompiler
-        from repro.mutation.generator import enumerate_devil_mutants
-        from repro.mutation.runner import count_code_lines
-        from repro.specs import load_spec_source
-
-        source = load_spec_source(spec.spec_name)
-        device = parse_spec(source, spec.spec_name)
-        compile_spec(source, spec.spec_name)  # the unmutated spec must pass
-        compiler = (
-            SpecCampaignCompiler(source, spec.spec_name)
-            if spec.compile_cache
-            else None
-        )
-        mutants = enumerate_devil_mutants(
-            source, device, spec.spec_name, compiler=compiler
-        )
-        return cls(
-            spec=spec,
-            source=source,
-            compiler=compiler,
-            mutants=mutants,
-            lines=count_code_lines(source),
-            sites=len({m.site.key for m in mutants}),
-        )
-
-    @classmethod
-    def _build_fault(cls, spec: WarmSpec) -> "WarmState":
-        context = FaultContext.build(
-            spec.driver,
-            spec.mode,
-            backend=spec.backend,
-            injection="checkpoint" if spec.boot_checkpoint else "cold",
-            granularity=spec.granularity,
-            step_budget=spec.step_budget,
-        )
-        # Warm eagerly, like driver plans: the armed recorded boot, its
-        # counters-in-snapshots plan and the access profile become
-        # resident before the pool forks.
-        context.ensure()
-        return cls(spec=spec, fault_context=context)
-
-    @classmethod
-    def _build_scenario(
-        cls, spec: WarmSpec, plan_path: str | None = None
-    ) -> "WarmState":
-        from repro.scenarios.campaign import (
-            ScenarioContext,
-            prepare_scenario_campaign,
-        )
-        from repro.scenarios.corpus import scenario_from_id
-
-        scenario = scenario_from_id(spec.spec_name)
-        setup = prepare_scenario_campaign(
-            scenario,
-            fraction=1.0,
-            seed=DEFAULT_SEED,
-            step_budget=spec.step_budget,
-            backend=spec.backend,
-            compile_cache=spec.compile_cache,
-        )
-        context = ScenarioContext.build(
-            scenario,
-            setup.budget,
-            spec.backend,
-            spec.compile_cache,
-            checkpoint=spec.boot_checkpoint,
-            granularity=spec.granularity,
-            compiler=setup.compiler,
-            plan_path=plan_path,
-            granularity_pinned=spec.granularity_pinned,
-        )
-        state = cls(spec=spec, setup=setup, context=context)
-        if spec.boot_checkpoint:
-            # Same eager warming as driver plans: recorded (or loaded)
-            # plan, machine and pristine snapshot resident pre-fork.
-            context.ensure_plan()
-        return state
-
-    @property
-    def enumerated(self) -> int:
-        if self.spec.kind == DEVIL_KIND:
-            return len(self.mutants)
-        if self.spec.kind == FAULT_KIND:
-            return 0
-        return self.setup.enumerated
-
-    def tested(self, fraction, seed: int) -> list:
-        """The sampled mutant (or fault) list for one campaign (cached).
-
-        For fault campaigns ``fraction`` is the request's
-        ``(per_dimension, dimensions)`` tuple — sampling is
-        `repro.faults.plan.build_fault_plan` over the resident profile,
-        deterministic in every process, so workers and parent agree on
-        the index space without shipping the plan itself.
-        """
-        key = (fraction, seed)
-        if key not in self._samples:
-            if self.spec.kind == FAULT_KIND:
-                per_dimension, dimensions = fraction
-                self._samples[key] = build_fault_plan(
-                    self.fault_context.profile,
-                    seed,
-                    per_dimension=per_dimension,
-                    dimensions=dimensions,
-                )
-            else:
-                population = (
-                    self.mutants
-                    if self.spec.kind == DEVIL_KIND
-                    else self.setup.mutants
-                )
-                self._samples[key] = sample_mutants(population, fraction, seed)
-        return self._samples[key]
-
-    def describe_item(self, item) -> str:
-        """Human identity of one sampled item, for quarantine records."""
-        if self.spec.kind == FAULT_KIND:
-            return (
-                f"{item.dimension}@{item.channel}:{item.port}"
-                f"#{item.index}+{item.count}"
-            )
-        return item.mutant_id
-
-    def crash_result(self, item, kind: str, attempts: int):
-        """The structured ``WORKER_CRASH`` row for a quarantined item.
-
-        Built in the *parent* by the supervisor when ``item``'s
-        singleton lease has killed (``kind="crash"``) or wedged past
-        the lease timeout (``kind="hang"``) ``attempts`` fresh workers
-        in a row — the degradation row that replaces aborting the whole
-        campaign.  Typed to match the campaign's other rows so reports
-        and merges treat it uniformly.
-        """
-        from repro.kernel.outcomes import BootOutcome
-
-        if kind == "hang":
-            detail = (
-                f"quarantined: wedged {attempts} fresh workers past "
-                "the lease timeout"
-            )
-        else:
-            detail = f"quarantined: crashed {attempts} fresh workers"
-        if self.spec.kind == FAULT_KIND:
-            from repro.faults.campaign import FaultResult
-
-            return FaultResult(
-                fault=item, outcome=BootOutcome.WORKER_CRASH, detail=detail
-            )
-        return MutantResult(
-            mutant=item, outcome=BootOutcome.WORKER_CRASH, detail=detail
-        )
-
-    def evaluate(self, mutant) -> tuple[object, dict | None]:
-        """One mutant (or fault) through the serial evaluation path.
-
-        Returns the result plus this evaluation's checkpoint-counter
-        delta (``None`` when nothing booted), summed by the engine into
-        the campaign's ``checkpoint_stats`` — commutative, so any steal
-        schedule produces the serial totals.
-        """
-        if self.spec.kind == DEVIL_KIND:
-            return self._evaluate_devil(mutant), None
-        if self.spec.kind == FAULT_KIND:
-            before = self.fault_context.stats_view()
-            result = self.fault_context.evaluate(mutant)
-            return result, _stats_delta(
-                before, self.fault_context.stats_view()
-            )
-        if self.spec.kind == SCENARIO_KIND:
-            from repro.scenarios.campaign import scenario_run_one
-
-            before = self.context.stats_view()
-            result = scenario_run_one(mutant, self.context)
-            return result, _stats_delta(before, self.context.stats_view())
-        before = self.context.stats_view()
-        result = _run_one(mutant, self.context)
-        return result, _stats_delta(before, self.context.stats_view())
-
-    def _evaluate_devil(self, mutant: Mutant) -> MutantResult:
-        from repro.devil.compiler import spec_errors
-        from repro.kernel.outcomes import BootOutcome
-
-        mutated = mutant.apply(self.source)
-        if self.compiler is not None:
-            errors = self.compiler.errors_for_variant(mutated)
-        else:
-            errors = spec_errors(mutated, self.spec.spec_name)
-        outcome = BootOutcome.COMPILE_CHECK if errors else BootOutcome.BOOT
-        detail = errors[0].code if errors else "accepted"
-        return MutantResult(mutant=mutant, outcome=outcome, detail=detail)
+__all__ = [
+    "CampaignRequest",
+    "FaultRequest",
+    "KINDS",
+    "ScenarioRequest",
+    "SpecRequest",
+    "kind_of",
+]

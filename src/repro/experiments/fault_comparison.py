@@ -48,7 +48,7 @@ def run(
     profile (the drivers touch the device differently), with the same
     seed and per-dimension budget.  ``engine`` > 0 runs both campaigns
     on one warm `repro.engine.Engine` with that many workers; otherwise
-    ``workers`` > 1 uses the per-campaign process pool.
+    ``workers`` > 1 runs each campaign on its own throwaway engine.
     """
     if workers > 1 and engine:
         raise ValueError("workers and engine are mutually exclusive")
@@ -110,7 +110,7 @@ def main(argv: list[str] | None = None) -> int:
         "--workers",
         type=int,
         default=1,
-        help="per-campaign process pool (result identical to serial)",
+        help="per-campaign throwaway engine (result identical to serial)",
     )
     parser.add_argument(
         "--engine",

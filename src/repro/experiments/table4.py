@@ -46,9 +46,7 @@ def run(
     if shards > 1 and engine:
         raise ValueError("shards and engine are mutually exclusive")
     if engine:
-        from repro.engine import run_engine_campaign
-
-        return run_engine_campaign(
+        return run_driver_campaign(
             "cdevil", mode=mode, fraction=fraction, seed=seed,
             workers=engine, progress=progress,
         )

@@ -19,8 +19,9 @@ from repro.faults.plan import (
     profile_from,
 )
 from repro.faults.campaign import (
+    FaultCampaign,
     FaultCampaignResult,
-    FaultContext,
+    FaultRequest,
     FaultResult,
     INJECTION_ENV,
     checkpoint_for_fault,
@@ -40,9 +41,10 @@ __all__ = [
     "DIMENSIONS",
     "DIMENSIONS_ENV",
     "Fault",
+    "FaultCampaign",
     "FaultCampaignResult",
-    "FaultContext",
     "FaultInjector",
+    "FaultRequest",
     "FaultResult",
     "INJECTION_ENV",
     "build_fault_plan",

@@ -6,6 +6,8 @@ source, it boots the *unmutated* driver against hardware that lies —
 register bit-flips, stuck/floating bus reads, delayed or dropped status
 transitions, byte-swapped DMA, torn sector writes — and classifies each
 run with the same outcome taxonomy (`repro.kernel.outcomes`).
+:class:`FaultCampaign` is the campaign kind (`repro.campaign`) behind
+it, so faults run on every path a driver campaign does.
 
 The checkpoint machinery is reused as the injection harness.  One
 instrumented clean boot (`repro.kernel.checkpoint.record_plan`) runs
@@ -25,37 +27,31 @@ boot remainder with the fault armed (``injection="cold"`` forces
 pristine-snapshot boots instead).  Because triggers are absolute access
 indices and restores reinstate the counters, a restored-then-perturbed
 run classifies identically to a cold perturbed run — asserted by tests,
-serial and under ``workers=N`` or a warm `repro.engine.Engine`.
+serial, under ``workers=N`` and on a warm `repro.engine.Engine`.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
+from repro.campaign import CampaignKind, ProgressFn, Request, run_campaign
 from repro.kernel.checkpoint import (
     BootCheckpoint,
     CheckpointPlan,
     GRANULARITIES,
     granularity_from_env,
     record_plan,
-    resume_boot,
 )
 from repro.kernel.kernel import DEFAULT_STEP_BUDGET, boot
 from repro.kernel.outcomes import BootOutcome
 from repro.hw.machine import standard_pc
 from repro.minic.program import compile_program
-from repro.mutation.runner import (
-    ProgressFn,
-    _merge_stats,
-    _pool_context,
-    _stats_delta,
-    assemble_driver,
-)
+from repro.mutation.runner import assemble_driver, resume_or_boot
 from repro.mutation.sampling import DEFAULT_SEED
 from repro.faults.injector import Fault, FaultInjector
 from repro.faults.plan import (
-    AccessProfile,
     build_fault_plan,
     dimensions_from_env,
     profile_from,
@@ -106,7 +102,7 @@ class FaultCampaignResult:
     checkpoint_stats: dict | None = None
     #: Engine-supervision quarantine records
     #: (`repro.engine.supervision.QuarantineRecord`); ``()`` for serial
-    #: and worker-pool runs.
+    #: runs.
     quarantine: tuple = ()
 
     @property
@@ -165,144 +161,133 @@ def checkpoint_for_fault(
     return best
 
 
-@dataclass
-class FaultContext:
-    """Everything one process needs to evaluate campaign faults.
+@dataclass(frozen=True)
+class FaultRequest(Request):
+    """One environment-fault campaign as a request.
 
-    Mirrors `repro.mutation.runner._EvalContext`: built cheap, warmed
-    lazily (and deterministically — every process that warms the same
-    parameters records the identical plan and profile), then reused for
-    every fault of the campaign.
+    The warm state is the armed instrumented clean boot — the checkpoint
+    plan with embedded injector counters plus the access profile; the
+    sampling fields are ``(seed, per_dimension, dimensions)``.
+    ``injection``/``granularity``/``dimensions`` default from the same
+    environment variables ``run_fault_campaign`` honours;
+    :meth:`resolved` pins them.
     """
 
-    driver: str
-    mode: str
-    backend: str | None
-    injection: str
-    granularity: str
-    step_budget: int | None
-    _program: object = None
-    _machine: object = None
-    _injector: FaultInjector | None = None
-    _pristine: object = None
-    _plan: CheckpointPlan | None = None
-    _profile: AccessProfile | None = None
-    _budget: int = 0
+    kind: ClassVar[str] = "fault"
+    SAMPLING: ClassVar[tuple[str, ...]] = (
+        "seed", "per_dimension", "dimensions",
+    )
 
-    @classmethod
-    def build(
-        cls,
-        driver: str,
-        mode: str = "debug",
-        backend: str | None = None,
-        injection: str = "checkpoint",
-        granularity: str = "subcall",
-        step_budget: int | None = None,
-    ) -> "FaultContext":
+    driver: str = "c"
+    mode: str = "debug"
+    seed: int = DEFAULT_SEED
+    per_dimension: int = 8
+    dimensions: tuple[str, ...] | None = None
+    injection: str | None = None
+    backend: str | None = None
+    granularity: str | None = None
+    step_budget: int | None = None
+
+    def resolved(self) -> "FaultRequest":
+        injection = self.injection or injection_from_env()
         if injection not in INJECTIONS:
             raise ValueError(
                 f"unknown fault injection mode {injection!r}; "
                 f"available: {', '.join(INJECTIONS)}"
             )
+        granularity = self.granularity or granularity_from_env()
         if granularity not in GRANULARITIES:
             raise ValueError(f"unknown granularity {granularity!r}")
-        return cls(
-            driver=driver,
-            mode=mode,
-            backend=backend,
+        dimensions = self.dimensions
+        if dimensions is None:
+            dimensions = dimensions_from_env()
+        return replace(
+            self,
             injection=injection,
             granularity=granularity,
-            step_budget=step_budget,
+            dimensions=tuple(dimensions),
         )
 
-    def ensure(self) -> None:
+
+class FaultCampaign(CampaignKind):
+    """Environment faults: the unmutated driver on hardware that lies.
+
+    The warm state is built eagerly (and deterministically — every
+    process that builds the same key records the identical plan and
+    profile), then reused for every fault of every campaign.
+    """
+
+    request_type = FaultRequest
+    result_type = FaultResult
+
+    def __init__(
+        self, key, *, program, machine, injector, pristine, plan, profile,
+        budget,
+    ):
+        super().__init__(key)
+        self.program = program
+        self.machine = machine
+        self.injector = injector
+        self.pristine = pristine
+        self._plan = plan
+        self.profile = profile
+        self.budget = budget
+
+    @classmethod
+    def build(cls, key, plan_path=None) -> "FaultCampaign":
         """Record the armed clean boot: plan + profile + budget."""
-        if self._plan is not None:
-            return
-        files, registry, _ = assemble_driver(self.driver, self.mode)
-        self._program = compile_program(files, registry)
+        files, registry, _ = assemble_driver(key.driver, key.mode)
+        program = compile_program(files, registry)
         machine = standard_pc(with_busmouse=False)
         injector = FaultInjector()
         machine.attach(injector)  # extras[0]: counters ride every snapshot
         injector.arm(machine)
-        self._machine = machine
-        self._injector = injector
-        self._pristine = machine.snapshot()
+        pristine = machine.snapshot()
         plan = record_plan(
-            self._program,
+            program,
             machine,
             DEFAULT_STEP_BUDGET,
-            backend=self.backend,
-            granularity=self.granularity,
+            backend=key.backend,
+            granularity=key.granularity,
         )
         if plan.report.outcome is not BootOutcome.BOOT:
             raise RuntimeError(
                 "fault campaigns require a clean baseline boot: "
                 f"{plan.report}"
             )
-        self._profile = profile_from(injector, machine)
-        self._budget = self.step_budget or max(
-            1_000_000, plan.report.steps * 6 + 200_000
+        return cls(
+            key, program=program, machine=machine, injector=injector,
+            pristine=pristine, plan=plan,
+            profile=profile_from(injector, machine),
+            budget=key.step_budget or max(
+                1_000_000, plan.report.steps * 6 + 200_000
+            ),
         )
-        self._plan = plan
-
-    @property
-    def profile(self) -> AccessProfile:
-        self.ensure()
-        return self._profile
 
     @property
     def clean_steps(self) -> int:
-        self.ensure()
         return self._plan.report.steps
 
-    @property
-    def budget(self) -> int:
-        self.ensure()
-        return self._budget
+    def draw(self, seed, per_dimension, dimensions) -> list[Fault]:
+        return build_fault_plan(
+            self.profile, seed, per_dimension=per_dimension,
+            dimensions=dimensions,
+        )
 
-    def stats_view(self) -> dict | None:
-        return dict(self._plan.stats) if self._plan is not None else None
-
-    def evaluate(self, fault: Fault) -> FaultResult:
+    def classify(self, fault: Fault) -> FaultResult:
         """One fault through a restored-or-cold boot, classified."""
-        self.ensure()
-        plan = self._plan
-        machine = self._machine
-        injector = self._injector
         checkpoint = None
-        if self.injection == "checkpoint":
-            checkpoint = checkpoint_for_fault(plan, fault)
-        # Same backend policy as checkpointed mutant boots: hybrid
-        # (bit-identical to every backend) unless the tree reference
-        # backend was requested outright.
-        backend = "hybrid" if self.backend != "tree" else "tree"
-        injector.set_faults((fault,))
+        if self.key.injection == "checkpoint":
+            checkpoint = checkpoint_for_fault(self._plan, fault)
+        self.injector.set_faults((fault,))
         try:
-            if checkpoint is not None:
-                plan.stats["resumed"] += 1
-                if checkpoint.subcall:
-                    plan.stats["resumed_subcall"] += 1
-                plan.stats["steps_skipped"] += checkpoint.steps
-                report = resume_boot(
-                    self._program,
-                    checkpoint,
-                    machine,
-                    self._budget,
-                    backend=backend,
-                )
-            else:
-                plan.stats["cold"] += 1
-                machine.restore(self._pristine)
-                report = boot(
-                    self._program,
-                    machine,
-                    step_budget=self._budget,
-                    backend=backend,
-                )
+            report = resume_or_boot(
+                self.program, self._plan, checkpoint, self.machine,
+                self.pristine, self.budget, self.key.backend, boot,
+            )
         finally:
-            fired = injector.fired
-            injector.clear_faults()
+            fired = self.injector.fired
+            self.injector.clear_faults()
         # Triggers are sampled inside the clean boot's access profile
         # and the prefix up to the trigger is fault-free, so the
         # trigger access always happens — a fault that never fired
@@ -310,6 +295,28 @@ class FaultContext:
         assert fired >= 1, f"fault never fired: {fault}"
         return FaultResult(
             fault=fault, outcome=report.outcome, detail=report.detail
+        )
+
+    def describe(self, fault: Fault) -> str:
+        return (
+            f"{fault.dimension}@{fault.channel}:{fault.port}"
+            f"#{fault.index}+{fault.count}"
+        )
+
+    def assemble(self, request, results, stats, quarantine):
+        return FaultCampaignResult(
+            driver=self.key.driver,
+            mode=self.key.mode,
+            seed=request.seed,
+            per_dimension=request.per_dimension,
+            injection=self.key.injection,
+            granularity=self.key.granularity,
+            dimensions=tuple(request.dimensions),
+            clean_steps=self.clean_steps,
+            step_budget=self.budget,
+            results=results,
+            checkpoint_stats=stats,
+            quarantine=quarantine,
         )
 
 
@@ -333,8 +340,8 @@ def run_fault_campaign(
     boot's access profile (`repro.faults.plan`) and classifies each
     perturbed boot with the standard outcome taxonomy.  Deterministic:
     the same ``(driver, mode, seed, per_dimension, dimensions)`` produce
-    the identical result — serial, ``workers=N`` (process pool, merged
-    by fault index) or ``engine=`` (a warm `repro.engine.Engine`;
+    the identical result — serial, ``workers=N`` (a throwaway engine,
+    merged by fault index) or ``engine=`` (a warm `repro.engine.Engine`;
     ``workers`` is then the engine's affair).
 
     ``injection`` selects ``"checkpoint"`` (resume each fault from the
@@ -344,139 +351,15 @@ def run_fault_campaign(
     resolve from ``REPRO_FAULT_INJECTION``, ``REPRO_FAULT_DIMENSIONS``
     and ``REPRO_CHECKPOINT_GRANULARITY``.
     """
-    if injection is None:
-        injection = injection_from_env()
-    if checkpoint_granularity is None:
-        checkpoint_granularity = granularity_from_env()
-    if dimensions is None:
-        dimensions = dimensions_from_env()
-    dimensions = tuple(dimensions)
-    if engine is not None:
-        from repro.engine.state import FaultRequest
-
-        return engine.run_fault_campaign(
-            FaultRequest(
-                driver=driver,
-                mode=mode,
-                seed=seed,
-                per_dimension=per_dimension,
-                dimensions=dimensions,
-                injection=injection,
-                backend=backend,
-                granularity=checkpoint_granularity,
-                step_budget=step_budget,
-            ),
-            progress=progress,
-        )
-    context = FaultContext.build(
-        driver,
-        mode,
-        backend=backend,
-        injection=injection,
-        granularity=checkpoint_granularity,
-        step_budget=step_budget,
-    )
-    context.ensure()
-    faults = build_fault_plan(
-        context.profile, seed, per_dimension=per_dimension, dimensions=dimensions
-    )
-    campaign = FaultCampaignResult(
+    request = FaultRequest(
         driver=driver,
         mode=mode,
         seed=seed,
         per_dimension=per_dimension,
+        dimensions=None if dimensions is None else tuple(dimensions),
         injection=injection,
-        granularity=checkpoint_granularity,
-        dimensions=dimensions,
-        clean_steps=context.clean_steps,
-        step_budget=context.budget,
-    )
-    if workers > 1 and len(faults) > 1:
-        campaign.results, campaign.checkpoint_stats = _evaluate_parallel(
-            context, faults, workers, progress
-        )
-        return campaign
-    for done, fault in enumerate(faults):
-        if progress is not None:
-            progress(done, len(faults))
-        campaign.results.append(context.evaluate(fault))
-    campaign.checkpoint_stats = context.stats_view()
-    return campaign
-
-
-# -- parallel evaluation -------------------------------------------------------
-
-#: Per-process fault context, built once by the pool initialiser
-#: (deterministic, so every worker warms the identical plan/profile).
-_FAULT_WORKER_CONTEXT: FaultContext | None = None
-
-
-def _fault_worker_init(
-    driver: str,
-    mode: str,
-    backend: str | None,
-    injection: str,
-    granularity: str,
-    step_budget: int | None,
-) -> None:
-    global _FAULT_WORKER_CONTEXT
-    _FAULT_WORKER_CONTEXT = FaultContext.build(
-        driver,
-        mode,
         backend=backend,
-        injection=injection,
-        granularity=granularity,
+        granularity=checkpoint_granularity,
         step_budget=step_budget,
     )
-
-
-def _fault_worker_eval(
-    item: tuple[int, Fault],
-) -> tuple[int, FaultResult, dict | None]:
-    index, fault = item
-    context = _FAULT_WORKER_CONTEXT
-    assert context is not None
-    before = context.stats_view()
-    result = context.evaluate(fault)
-    return index, result, _stats_delta(before, context.stats_view())
-
-
-def _evaluate_parallel(
-    context: FaultContext,
-    faults: list[Fault],
-    workers: int,
-    progress: ProgressFn | None,
-) -> tuple[list[FaultResult], dict | None]:
-    """Fan faults out over a process pool, merging by fault index.
-
-    Each evaluation is independent and deterministic, so ``workers=N``
-    equals ``workers=1`` result-for-result and the per-fault checkpoint
-    counter deltas sum to the serial totals in any completion order.
-    """
-    pool_context = _pool_context()
-    worker_count = min(workers, len(faults))
-    results: list[FaultResult | None] = [None] * len(faults)
-    stats: dict | None = None
-    with pool_context.Pool(
-        worker_count,
-        initializer=_fault_worker_init,
-        initargs=(
-            context.driver,
-            context.mode,
-            context.backend,
-            context.injection,
-            context.granularity,
-            context.step_budget,
-        ),
-    ) as pool:
-        completed = 0
-        for index, result, delta in pool.imap_unordered(
-            _fault_worker_eval, list(enumerate(faults))
-        ):
-            results[index] = result
-            stats = _merge_stats(stats, delta)
-            if progress is not None:
-                progress(completed, len(faults))
-            completed += 1
-    assert all(result is not None for result in results)
-    return results, stats  # type: ignore[return-value]
+    return run_campaign(FaultCampaign, request, progress, workers, engine)

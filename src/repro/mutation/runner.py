@@ -1,11 +1,11 @@
 """Campaign runner: compile and boot every mutant, classify outcomes.
 
 ``run_driver_campaign`` reproduces the paper's §4.2 experiment for either
-driver; ``run_devil_campaign`` reproduces §4.1 for a specification.  Both
-are deterministic under a seed — including under parallel execution:
-``workers=N`` fans mutant evaluation out over a process pool and merges
-``MutantResult``s back by mutant index, so any worker count produces the
-same `CampaignResult` as the serial fallback (``workers=1``).
+driver; ``run_devil_campaign`` reproduces §4.1 for a specification.  Each
+is one campaign kind of `repro.campaign` — :class:`DriverCampaign` and
+:class:`DevilCampaign` — so a campaign is deterministic under a seed on
+every path: serial, ``workers=N`` (a throwaway `repro.engine.Engine`
+whose workers inherit the state built here) or ``engine=``.
 
 Per-mutant cost is kept low by two campaign-scoped optimisations, both
 individually defeatable for reference runs:
@@ -20,32 +20,32 @@ individually defeatable for reference runs:
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
-from repro.devil import ast as devil_ast
+from repro.campaign import (
+    CampaignKind,
+    ProgressFn,
+    Request,
+    resolve_checkpointing,
+    run_campaign,
+)
 from repro.devil.compiler import CheckedSpec, compile_spec, parse_spec, spec_errors
 from repro.devil.incremental import SpecCampaignCompiler
 from repro.devil.types import EnumType
 from repro.diagnostics import CompileError
 from repro.drivers import (
-    IDE_HEADER_NAME,
     assemble_c_program,
     assemble_cdevil_program,
 )
 from repro.hw.machine import standard_pc
 from repro.kernel.checkpoint import (
-    CheckpointPlan,
     changed_lines_of,
     checkpoint_for_mutant,
-    checkpointing_enabled_by_env,
-    granularity_from_env,
     load_plan,
-    pinned_granularity,
     record_plan,
     resume_boot,
+    save_plan,
 )
 from repro.kernel.kernel import DEFAULT_STEP_BUDGET, boot
 from repro.kernel.outcomes import BootOutcome
@@ -59,8 +59,6 @@ from repro.mutation.model import Mutant
 from repro.mutation.sampling import DEFAULT_SEED, sample_mutants
 from repro.mutation.tagging import api_call_regions
 from repro.specs import load_spec_source
-
-ProgressFn = Callable[[int, int], None]
 
 
 @dataclass
@@ -80,7 +78,7 @@ class CampaignResult:
     clean_steps: int = 0
     step_budget: int = 0
     #: Boot-checkpointing diagnostics (checkpointed runs, serial or
-    #: parallel — per-worker counters merge to the serial totals):
+    #: parallel — per-item counter deltas sum to the serial totals):
     #: resumed/cold boot counts, the sub-call resume subset, and total
     #: clean-prefix steps skipped.
     checkpoint_stats: dict | None = None
@@ -88,7 +86,7 @@ class CampaignResult:
     #: (`repro.engine.supervision.QuarantineRecord`): mutants whose
     #: evaluation repeatably killed a fresh worker, reported as
     #: ``WORKER_CRASH`` rows in ``results``.  Always ``()`` for serial
-    #: and worker-pool runs (the mutant executes in-process there).
+    #: runs (the mutant executes in-process there).
     quarantine: tuple = ()
 
     @property
@@ -265,144 +263,41 @@ def cdevil_api_pools(
     return classes
 
 
-# -- driver campaigns -------------------------------------------------------------
+# -- checkpointed boots ----------------------------------------------------------
 
 
-@dataclass
-class _EvalContext:
-    """Everything one process needs to evaluate campaign mutants."""
+def resume_or_boot(
+    program, plan, checkpoint, machine, pristine, budget, backend,
+    cold_boot, harness_factory=None,
+):
+    """Boot from ``checkpoint``, or cold from the ``pristine`` snapshot.
 
-    source: str
-    driver_filename: str
-    registry: dict[str, str]
-    budget: int
-    backend: str | None
-    compiler: CampaignCompiler | None
-    checkpoint: bool = False
-    #: Checkpoint granularity ("call" or "subcall"; see
-    #: `repro.kernel.checkpoint`).
-    granularity: str = "subcall"
-    #: Portable checkpoint plan to load instead of recording in-process
-    #: (`repro.kernel.checkpoint.save_plan` format) — the distributed
-    #: runner's path: the instrumented clean boot runs once and ships to
-    #: every shard.
-    plan_path: str | None = None
-    #: Whether ``granularity`` was requested explicitly (parameter or
-    #: environment override) rather than defaulted: a loaded plan's
-    #: granularity must then match instead of being adopted.
-    granularity_pinned: bool = False
-    #: Lazily built per process (deterministic, so every worker records
-    #: the identical plan): the instrumented clean boot's checkpoints,
-    #: plus one reusable machine and its pristine snapshot.
-    _plan: CheckpointPlan | None = None
-    _machine: object = None
-    _pristine: object = None
-
-    @classmethod
-    def build(
-        cls,
-        source: str,
-        driver_filename: str,
-        registry: dict[str, str],
-        budget: int,
-        backend: str | None,
-        compile_cache: bool,
-        checkpoint: bool = False,
-        granularity: str = "subcall",
-        compiler: CampaignCompiler | None = None,
-        plan_path: str | None = None,
-        granularity_pinned: bool = False,
-    ) -> "_EvalContext":
-        if compile_cache and compiler is None:
-            compiler = CampaignCompiler(driver_filename, source, registry)
-        if not compile_cache:
-            compiler = None
-        return cls(
-            source=source,
-            driver_filename=driver_filename,
-            registry=registry,
-            budget=budget,
-            backend=backend,
-            compiler=compiler,
-            checkpoint=checkpoint,
-            granularity=granularity,
-            plan_path=plan_path,
-            granularity_pinned=granularity_pinned,
-        )
-
-    def ensure_plan(self) -> CheckpointPlan:
-        if self._plan is None:
-            self._machine = standard_pc(with_busmouse=False)
-            self._pristine = self._machine.snapshot()
-            if self.plan_path is not None:
-                self._plan = load_plan(
-                    self.plan_path,
-                    source=self.source,
-                    driver_filename=self.driver_filename,
-                    granularity=(
-                        self.granularity if self.granularity_pinned else None
-                    ),
-                    step_budget=DEFAULT_STEP_BUDGET,
-                )
-                # Adopt the plan's recorded granularity so the stats and
-                # mapping rules match what is actually on disk.
-                self.granularity = self._plan.granularity
-            else:
-                if self.compiler is not None:
-                    baseline = self.compiler.baseline_program
-                else:
-                    baseline = compile_program(
-                        [SourceFile(self.driver_filename, self.source)],
-                        self.registry,
-                    )
-                self._plan = record_plan(
-                    baseline,
-                    self._machine,
-                    DEFAULT_STEP_BUDGET,
-                    backend=self.backend,
-                    granularity=self.granularity,
-                )
-            if self._plan.report.outcome is not BootOutcome.BOOT:
-                raise RuntimeError(
-                    "checkpoint recording requires a clean baseline boot: "
-                    f"{self._plan.report}"
-                )
-        return self._plan
-
-    def stats_view(self) -> dict | None:
-        """Current checkpoint counters, or ``None`` before any boot."""
-        return dict(self._plan.stats) if self._plan is not None else None
-
-
-@dataclass
-class CampaignSetup:
-    """The deterministic front half of a driver campaign.
-
-    Everything up to (and including) mutant enumeration, sampling and
-    the baseline boot — derived from ``(driver, mode, fraction, seed)``
-    alone, so any process that runs :func:`prepare_campaign` with the
-    same arguments sees the identical ``tested`` list.  This is what
-    makes multi-host sharding coordination-free: a shard derives its own
-    mutant slice from the shared parameters (`repro.distributed`).
+    The one checkpointed boot every kind uses.  Both branches equal a
+    cold boot of ``program`` on a fresh machine: a resume restores the
+    exact state the run itself reaches at that boundary
+    (`repro.kernel.checkpoint`), and the pristine snapshot is observably
+    a fresh machine.  Boots run on the ``hybrid`` backend (equal to every
+    backend, per the differential suite) unless the campaign asked for
+    the ``tree`` reference outright.  The plan's counters record which
+    branch ran.
     """
+    backend = "tree" if backend == "tree" else "hybrid"
+    stats = plan.stats
+    if checkpoint is not None:
+        stats["resumed"] += 1
+        if checkpoint.subcall:
+            stats["resumed_subcall"] += 1
+        stats["steps_skipped"] += checkpoint.steps
+        return resume_boot(
+            program, checkpoint, machine, budget, backend=backend,
+            harness_factory=harness_factory,
+        )
+    stats["cold"] += 1
+    machine.restore(pristine)
+    return cold_boot(program, machine, step_budget=budget, backend=backend)
 
-    driver: str
-    mode: str
-    fraction: float
-    seed: int
-    files: list[SourceFile]
-    registry: dict[str, str]
-    driver_filename: str
-    source: str
-    mutants: list[Mutant]
-    tested: list[Mutant]
-    clean_steps: int
-    budget: int
-    compiler: CampaignCompiler | None = None
 
-    @property
-    def enumerated(self) -> int:
-        return len(self.mutants)
+# -- driver campaigns -------------------------------------------------------------
 
 
 def assemble_driver(
@@ -424,177 +319,235 @@ def assemble_driver(
     return files, registry, files[0].name
 
 
-def prepare_campaign(
-    driver: str = "c",
-    mode: str = "debug",
-    fraction: float = 1.0,
-    seed: int = DEFAULT_SEED,
-    step_budget: int | None = None,
-    backend: str | None = None,
-    compile_cache: bool = True,
-) -> CampaignSetup:
-    """Assemble, enumerate, sample and baseline-boot one campaign."""
-    regions = None
-    files, registry, driver_filename = assemble_driver(driver, mode)
-    if driver == "c":
-        pools = build_c_pools(files, registry, driver_filename)
-    else:
-        spec = compile_spec(load_spec_source("ide_piix4"))
-        pools = build_c_pools(files, registry, driver_filename, api_spec=spec)
-        # Paper §3.3: CDevil mutations target the stub call sites.
-        regions = api_call_regions(files[0].text, stub_call_names(spec))
+@dataclass(frozen=True)
+class CampaignRequest(Request):
+    """One driver mutation campaign (Tables 3/4) as a request.
 
-    source = files[0].text
-    # One incremental compiler serves both the enumeration gate and the
-    # serial evaluation loop (workers build their own per process).
-    campaign_compiler = (
-        CampaignCompiler(driver_filename, source, registry)
-        if compile_cache
-        else None
-    )
-    mutants = enumerate_c_mutants(
-        source, driver_filename, pools, include_registry=registry,
-        regions=regions, compiler=campaign_compiler,
-    )
-    tested = sample_mutants(mutants, fraction, seed)
-
-    # Baseline: the unmutated driver must boot cleanly.
-    baseline_program = compile_program(files, registry)
-    baseline = boot(baseline_program, standard_pc(), backend=backend)
-    if baseline.outcome is not BootOutcome.BOOT:
-        raise RuntimeError(
-            f"baseline {driver} driver does not boot cleanly: {baseline}"
-        )
-    budget = step_budget or max(1_000_000, baseline.steps * 6 + 200_000)
-    return CampaignSetup(
-        driver=driver,
-        mode=mode,
-        fraction=fraction,
-        seed=seed,
-        files=files,
-        registry=registry,
-        driver_filename=driver_filename,
-        source=source,
-        mutants=mutants,
-        tested=tested,
-        clean_steps=baseline.steps,
-        budget=budget,
-        compiler=campaign_compiler,
-    )
-
-
-def shard_indices(total: int, shard_index: int, shard_count: int) -> range:
-    """The sampled-mutant indices shard ``shard_index`` evaluates.
-
-    The index space ``range(total)`` is partitioned by stride —
-    ``range(shard_index, total, shard_count)`` — so the union over all
-    shards covers every index exactly once, every shard's share differs
-    in size by at most one, and a shard needs nothing but its own
-    coordinates to know its slice.
+    ``boot_checkpoint=None`` and ``granularity=None`` resolve from the
+    environment exactly like ``run_driver_campaign``;
+    :meth:`resolved` pins them to concrete values.
     """
-    if shard_count < 1:
-        raise ValueError(f"shard_count {shard_count} must be >= 1")
-    if not 0 <= shard_index < shard_count:
-        raise ValueError(
-            f"shard_index {shard_index} outside [0, {shard_count})"
+
+    kind: ClassVar[str] = "driver"
+
+    driver: str = "c"
+    mode: str = "debug"
+    fraction: float = 1.0
+    seed: int = DEFAULT_SEED
+    backend: str | None = None
+    compile_cache: bool = True
+    boot_checkpoint: bool | None = None
+    granularity: str | None = None
+    step_budget: int | None = None
+
+    def resolved(self) -> "CampaignRequest":
+        checkpoint, granularity = resolve_checkpointing(
+            self.boot_checkpoint, self.granularity
         )
-    return range(shard_index, total, shard_count)
+        return replace(
+            self, boot_checkpoint=checkpoint, granularity=granularity
+        )
 
 
-def evaluate_campaign(
-    setup: CampaignSetup,
-    indices,
-    backend: str | None = None,
-    compile_cache: bool = True,
-    boot_checkpoint: bool = False,
-    checkpoint_granularity: str = "subcall",
-    granularity_pinned: bool = False,
-    checkpoint_plan: str | None = None,
-    workers: int = 1,
-    progress: ProgressFn | None = None,
-) -> tuple[list[MutantResult], dict | None]:
-    """Evaluate ``setup.tested[i]`` for each ``i`` in ``indices``.
+class MutantKind(CampaignKind):
+    """The mutant kinds' shared draw, row type and item identity."""
 
-    Results come back ordered by sampled-mutant index (the order the
-    serial full campaign would produce them in), with the summed
-    checkpoint counters.  This is the campaign loop both the classic
-    runner and the shard runner drive — the only difference is which
-    index subset they pass.
+    result_type = MutantResult
+
+    def draw(self, fraction, seed) -> list:
+        return sample_mutants(self.mutants, fraction, seed)
+
+    def describe(self, item) -> str:
+        return item.mutant_id
+
+
+class DriverCampaign(MutantKind):
+    """Driver mutants: mutate the source, compile, boot, classify.
+
+    The warm state is the enumerated population, the incremental
+    compiler, the clean baseline's step count and budget and — for
+    checkpointed campaigns, built on first use — the checkpoint plan
+    with one reusable machine and its pristine snapshot.
+    :class:`repro.scenarios.campaign.ScenarioCampaign` is this kind with
+    another machine, boot function and harness.
     """
-    indices = list(indices)
-    for index in indices:
-        if not 0 <= index < len(setup.tested):
-            raise ValueError(
-                f"mutant index {index} outside sampled range "
-                f"[0, {len(setup.tested)})"
+
+    request_type = CampaignRequest
+    #: ``harness_factory`` for `repro.kernel.checkpoint` (``None``: the
+    #: kernel boot sequence).
+    harness = None
+    #: The step budget the checkpoint plan is recorded under.
+    plan_budget = DEFAULT_STEP_BUDGET
+
+    def __init__(
+        self, key, plan_path, *, source, filename, registry, mutants,
+        compiler, clean_steps, budget,
+    ):
+        super().__init__(key)
+        self.plan_path = plan_path
+        self.source = source
+        self.filename = filename
+        self.registry = registry
+        self.mutants = mutants
+        self.compiler = compiler
+        self.clean_steps = clean_steps
+        self.budget = budget
+        self._machine = None
+        self._pristine = None
+        if plan_path is not None:
+            self.plan  # a shipped plan loads with the rest of the state
+
+    @classmethod
+    def build(cls, key, plan_path=None) -> "DriverCampaign":
+        """Assemble, enumerate and baseline-boot one driver."""
+        files, registry, filename = assemble_driver(key.driver, key.mode)
+        regions = None
+        if key.driver == "c":
+            pools = build_c_pools(files, registry, filename)
+        else:
+            spec = compile_spec(load_spec_source("ide_piix4"))
+            pools = build_c_pools(files, registry, filename, api_spec=spec)
+            # Paper §3.3: CDevil mutations target the stub call sites.
+            regions = api_call_regions(files[0].text, stub_call_names(spec))
+        source = files[0].text
+        # One incremental compiler serves the enumeration gate and every
+        # evaluation after it.
+        compiler = (
+            CampaignCompiler(filename, source, registry)
+            if key.compile_cache
+            else None
+        )
+        mutants = enumerate_c_mutants(
+            source, filename, pools, include_registry=registry,
+            regions=regions, compiler=compiler,
+        )
+        # Baseline: the unmutated driver must boot cleanly.
+        baseline = boot(
+            compile_program(files, registry),
+            standard_pc(),
+            backend=key.backend,
+        )
+        if baseline.outcome is not BootOutcome.BOOT:
+            raise RuntimeError(
+                f"baseline {key.driver} driver does not boot cleanly: "
+                f"{baseline}"
             )
-    if workers > 1 and len(indices) > 1:
-        return _evaluate_parallel(
-            setup,
-            indices,
-            backend,
-            compile_cache,
-            boot_checkpoint,
-            checkpoint_granularity,
-            granularity_pinned,
-            checkpoint_plan,
-            workers,
-            progress,
+        return cls(
+            key, plan_path, source=source, filename=filename,
+            registry=registry, mutants=mutants, compiler=compiler,
+            clean_steps=baseline.steps,
+            budget=key.step_budget
+            or max(1_000_000, baseline.steps * 6 + 200_000),
         )
-    context = _EvalContext.build(
-        setup.source,
-        setup.driver_filename,
-        setup.registry,
-        setup.budget,
-        backend,
-        compile_cache,
-        checkpoint=boot_checkpoint,
-        granularity=checkpoint_granularity,
-        compiler=setup.compiler,
-        plan_path=checkpoint_plan,
-        granularity_pinned=granularity_pinned,
-    )
-    results = []
-    for done, index in enumerate(indices):
-        if progress is not None:
-            progress(done, len(indices))
-        results.append(_run_one(setup.tested[index], context))
-    return results, context.stats_view()
 
+    @property
+    def enumerated(self) -> int:
+        return len(self.mutants)
 
-def resolve_checkpoint_options(
-    boot_checkpoint: bool | None,
-    checkpoint_granularity: str | None,
-    checkpoint_plan: str | None = None,
-) -> tuple[bool, str, bool]:
-    """Resolve a campaign's checkpoint knobs against the environment.
+    # -- the machine, its boot function and the checkpoint plan ----------
 
-    Returns ``(boot_checkpoint, granularity, granularity_pinned)``.  The
-    environment is consulted lazily — only when the caller left a knob
-    unset, and the granularity env value is validated only when
-    checkpointing is actually on, so a stale ``REPRO_CHECKPOINT_*``
-    value cannot abort (or pin anything on) a non-checkpointed
-    campaign.  A ``checkpoint_plan`` path implies checkpointing.  Shared
-    by the driver, engine and scenario campaign entry points so every
-    seam resolves identically.
-    """
-    if checkpoint_plan is not None:
-        if boot_checkpoint is None:
-            boot_checkpoint = True
-        elif not boot_checkpoint:
-            raise ValueError(
-                "checkpoint_plan given but boot_checkpoint=False"
+    def new_machine(self):
+        return standard_pc(with_busmouse=False)
+
+    def cold_boot(self, program, machine, step_budget, backend):
+        return boot(program, machine, step_budget=step_budget, backend=backend)
+
+    @property
+    def plan(self):
+        """The checkpoint plan, recorded (or loaded) on first use."""
+        if self._plan is None:
+            machine = self.new_machine()
+            self._machine, self._pristine = machine, machine.snapshot()
+            if self.plan_path is not None:
+                plan = load_plan(
+                    self.plan_path,
+                    source=self.source,
+                    driver_filename=self.filename,
+                    granularity=self.key.granularity,
+                    step_budget=self.plan_budget,
+                )
+            else:
+                plan = record_plan(
+                    self.compiler.baseline_program
+                    if self.compiler is not None
+                    else self.compile(self.source),
+                    machine,
+                    self.plan_budget,
+                    backend=self.key.backend,
+                    granularity=self.key.granularity,
+                    harness_factory=self.harness,
+                )
+            if plan.report.outcome is not BootOutcome.BOOT:
+                raise RuntimeError(
+                    "checkpoint recording requires a clean baseline boot: "
+                    f"{plan.report}"
+                )
+            self._plan = plan
+        return self._plan
+
+    def portable_plan(self, path) -> str | None:
+        if not self.key.boot_checkpoint:
+            return None
+        if self.plan_path is not None:
+            return self.plan_path
+        save_plan(self.plan, path, self.source, self.filename)
+        return path
+
+    # -- one mutant --------------------------------------------------------
+
+    def compile(self, text: str):
+        if self.compiler is not None:
+            return self.compiler.compile_variant(text)
+        return compile_program([SourceFile(self.filename, text)], self.registry)
+
+    def run_mutant(self, program, mutant: Mutant):
+        """Boot a compiled mutant: from the deepest provably safe
+        checkpoint when checkpointing, else cold on a fresh machine."""
+        if not self.key.boot_checkpoint:
+            return self.cold_boot(
+                program, self.new_machine(), self.budget, self.key.backend
             )
-    if boot_checkpoint is None:
-        boot_checkpoint = checkpointing_enabled_by_env()
-    granularity_pinned = boot_checkpoint and (
-        pinned_granularity(checkpoint_granularity) is not None
-    )
-    if checkpoint_granularity is None:
-        checkpoint_granularity = (
-            granularity_from_env() if boot_checkpoint else "subcall"
+        plan = self.plan
+        lines = changed_lines_of(mutant.site, mutant.replacement)
+        checkpoint = (
+            checkpoint_for_mutant(plan, lines) if lines is not None else None
         )
-    return boot_checkpoint, checkpoint_granularity, granularity_pinned
+        return resume_or_boot(
+            program, plan, checkpoint, self._machine, self._pristine,
+            self.budget, self.key.backend, self.cold_boot, self.harness,
+        )
+
+    def classify(self, mutant: Mutant) -> MutantResult:
+        try:
+            program = self.compile(mutant.apply(self.source))
+        except CompileError as error:
+            return MutantResult(
+                mutant=mutant,
+                outcome=BootOutcome.COMPILE_CHECK,
+                detail=error.diagnostics[0].code if error.diagnostics else "error",
+            )
+        report = self.run_mutant(program, mutant)
+        outcome = report.outcome
+        if outcome is BootOutcome.BOOT:
+            site_line = (mutant.site.file, mutant.site.line)
+            if site_line not in report.coverage:
+                outcome = BootOutcome.DEAD_CODE
+        return MutantResult(mutant=mutant, outcome=outcome, detail=report.detail)
+
+    @property
+    def label(self) -> str:
+        return self.key.driver
+
+    def assemble(self, request, results, stats, quarantine) -> CampaignResult:
+        return CampaignResult(
+            driver=self.label,
+            enumerated=self.enumerated,
+            results=results,
+            clean_steps=self.clean_steps,
+            step_budget=self.budget,
+            checkpoint_stats=stats,
+            quarantine=quarantine,
+        )
 
 
 def run_driver_campaign(
@@ -615,33 +568,33 @@ def run_driver_campaign(
 ) -> CampaignResult:
     """Mutation campaign against a driver (Table 3: "c"; Table 4: "cdevil").
 
-    ``workers`` > 1 evaluates mutants on a process pool; results are
-    merged by mutant index, so the outcome is identical to a serial run.
-    ``backend``/``compile_cache`` select the execution backend and the
-    incremental compiler (defaults: fast paths).  ``boot_checkpoint``
-    starts each mutant from the deepest boot checkpoint provably before
-    its first divergent step instead of from power-on (bit-identical
-    outcomes; default: the ``REPRO_BOOT_CHECKPOINT`` environment
-    variable).  ``checkpoint_granularity`` selects ``"subcall"`` (the
-    default: resume inside driver calls too) or ``"call"`` (PR 3's call
-    boundaries only); the ``REPRO_CHECKPOINT_GRANULARITY`` environment
-    variable overrides the default.
+    ``workers`` > 1 evaluates mutants on a throwaway
+    `repro.engine.Engine`; results merge by mutant index, so the outcome
+    is identical to a serial run.  ``backend``/``compile_cache`` select
+    the execution backend and the incremental compiler (defaults: fast
+    paths).  ``boot_checkpoint`` starts each mutant from the deepest
+    boot checkpoint provably before its first divergent step instead of
+    from power-on (bit-identical outcomes; default: the
+    ``REPRO_BOOT_CHECKPOINT`` environment variable).
+    ``checkpoint_granularity`` selects ``"subcall"`` (the default:
+    resume inside driver calls too) or ``"call"`` (call boundaries
+    only); the ``REPRO_CHECKPOINT_GRANULARITY`` environment variable
+    overrides the default.
 
     ``shard=(shard_index, shard_count)`` restricts evaluation to that
     shard's deterministic slice of the sampled mutants (see
-    :func:`shard_indices`); the result then holds only the shard's
-    ``results``, in sampled order — `repro.distributed` merges shards
-    back into the full campaign.  ``checkpoint_plan`` names a portable
-    plan file (`repro.kernel.checkpoint.save_plan`) to load instead of
-    recording the instrumented clean boot in-process; it implies
+    `repro.campaign.shard_indices`); the result then holds only the
+    shard's ``results``, in sampled order — `repro.distributed` merges
+    shards back into the full campaign.  ``checkpoint_plan`` names a
+    portable plan file (`repro.kernel.checkpoint.save_plan`) to load
+    instead of recording the instrumented clean boot; it implies
     ``boot_checkpoint=True``.
 
-    ``engine`` routes the whole campaign through a warm
-    `repro.engine.Engine` instead of building setup state here —
-    identical results, with the fixed setup cost amortised across every
-    campaign the engine serves.  ``workers`` is then the engine's
-    affair, and ``shard``/``checkpoint_plan`` (per-process seams the
-    engine subsumes) are rejected.
+    ``engine`` routes the campaign through a warm `repro.engine.Engine`
+    instead of building its state here — identical results, with the
+    fixed setup cost amortised across every campaign the engine serves;
+    ``workers`` is then the engine's affair, and ``shard`` and
+    ``checkpoint_plan`` (per-process seams) are rejected.
     """
     if engine is not None:
         if shard is not None:
@@ -650,272 +603,87 @@ def run_driver_campaign(
             raise ValueError(
                 "engine and checkpoint_plan are mutually exclusive"
             )
-        from repro.engine.state import CampaignRequest
-
-        return engine.run_campaign(
-            CampaignRequest(
-                driver=driver,
-                mode=mode,
-                fraction=fraction,
-                seed=seed,
-                backend=backend,
-                compile_cache=compile_cache,
-                boot_checkpoint=boot_checkpoint,
-                granularity=checkpoint_granularity,
-                step_budget=step_budget,
-            ),
-            progress=progress,
-        )
-    boot_checkpoint, checkpoint_granularity, granularity_pinned = (
-        resolve_checkpoint_options(
-            boot_checkpoint, checkpoint_granularity, checkpoint_plan
-        )
+    boot_checkpoint, checkpoint_granularity = resolve_checkpointing(
+        boot_checkpoint, checkpoint_granularity, checkpoint_plan
     )
-    setup = prepare_campaign(
-        driver,
-        mode,
-        fraction,
-        seed,
-        step_budget=step_budget,
-        backend=backend,
-        compile_cache=compile_cache,
-    )
-    indices = (
-        range(len(setup.tested))
-        if shard is None
-        else shard_indices(len(setup.tested), *shard)
-    )
-    campaign = CampaignResult(
+    request = CampaignRequest(
         driver=driver,
-        enumerated=setup.enumerated,
-        clean_steps=setup.clean_steps,
-        step_budget=setup.budget,
-    )
-    campaign.results, campaign.checkpoint_stats = evaluate_campaign(
-        setup,
-        indices,
+        mode=mode,
+        fraction=fraction,
+        seed=seed,
         backend=backend,
         compile_cache=compile_cache,
         boot_checkpoint=boot_checkpoint,
-        checkpoint_granularity=checkpoint_granularity,
-        granularity_pinned=granularity_pinned,
-        checkpoint_plan=checkpoint_plan,
-        workers=workers,
-        progress=progress,
+        granularity=checkpoint_granularity,
+        step_budget=step_budget,
     )
-    return campaign
-
-
-def _run_one(mutant: Mutant, context: _EvalContext) -> MutantResult:
-    mutated = mutant.apply(context.source)
-    try:
-        if context.compiler is not None:
-            program = context.compiler.compile_variant(mutated)
-        else:
-            program = compile_program(
-                [SourceFile(context.driver_filename, mutated)], context.registry
-            )
-    except CompileError as error:
-        return MutantResult(
-            mutant=mutant,
-            outcome=BootOutcome.COMPILE_CHECK,
-            detail=error.diagnostics[0].code if error.diagnostics else "error",
-        )
-    if context.checkpoint:
-        report = _checkpointed_boot(program, mutant, context)
-    else:
-        report = boot(
-            program,
-            standard_pc(with_busmouse=False),
-            step_budget=context.budget,
-            backend=context.backend,
-        )
-    outcome = report.outcome
-    if outcome is BootOutcome.BOOT:
-        site_line = (mutant.site.file, mutant.site.line)
-        if site_line not in report.coverage:
-            outcome = BootOutcome.DEAD_CODE
-    return MutantResult(mutant=mutant, outcome=outcome, detail=report.detail)
-
-
-def _checkpointed_boot(program, mutant: Mutant, context: _EvalContext):
-    """Boot a mutant from the deepest provably-safe checkpoint.
-
-    Outcome fidelity: both paths below are bit-identical to
-    ``boot(program, standard_pc(with_busmouse=False), context.budget,
-    context.backend)`` —
-
-    * resumption restores the exact machine/interpreter/kernel state the
-      mutant itself would reach at that boundary (see
-      ``repro.kernel.checkpoint``), and cold boots reinstate the
-      pristine machine snapshot, observably equal to a fresh machine;
-    * boots run on the ``hybrid`` backend (bit-identical semantics to
-      every other backend, asserted by the differential suite), which
-      avoids the per-mutant Python-``compile`` emission for loop-free
-      mutated functions while keeping the source backend's loop speed.
-    """
-    plan = context.ensure_plan()
-    machine = context._machine
-    checkpoint = None
-    lines = changed_lines_of(mutant.site, mutant.replacement)
-    if lines is not None:
-        checkpoint = checkpoint_for_mutant(plan, lines)
-    backend = "hybrid" if context.backend != "tree" else "tree"
-    if checkpoint is not None:
-        plan.stats["resumed"] += 1
-        if checkpoint.subcall:
-            plan.stats["resumed_subcall"] += 1
-        plan.stats["steps_skipped"] += checkpoint.steps
-        return resume_boot(
-            program, checkpoint, machine, context.budget, backend=backend
-        )
-    plan.stats["cold"] += 1
-    machine.restore(context._pristine)
-    return boot(program, machine, step_budget=context.budget, backend=backend)
-
-
-# -- parallel evaluation -------------------------------------------------------
-
-#: Per-process evaluation context, built once by the pool initialiser.
-_WORKER_CONTEXT: _EvalContext | None = None
-
-
-def _worker_init(
-    source: str,
-    driver_filename: str,
-    registry: dict[str, str],
-    budget: int,
-    backend: str | None,
-    compile_cache: bool,
-    checkpoint: bool = False,
-    granularity: str = "subcall",
-    plan_path: str | None = None,
-    granularity_pinned: bool = False,
-) -> None:
-    global _WORKER_CONTEXT
-    _WORKER_CONTEXT = _EvalContext.build(
-        source,
-        driver_filename,
-        registry,
-        budget,
-        backend,
-        compile_cache,
-        checkpoint=checkpoint,
-        granularity=granularity,
-        plan_path=plan_path,
-        granularity_pinned=granularity_pinned,
+    return run_campaign(
+        DriverCampaign, request, progress, workers, engine, shard,
+        checkpoint_plan,
     )
-
-
-def _stats_delta(before: dict | None, after: dict | None) -> dict | None:
-    """Per-mutant increment of the checkpoint counters (``None`` when the
-    mutant never booted, e.g. a compile-time detection)."""
-    if after is None:
-        return None
-    if before is None:
-        return dict(after)
-    delta = {key: value - before.get(key, 0) for key, value in after.items()}
-    return delta if any(delta.values()) else None
-
-
-def _merge_stats(total: dict | None, delta: dict | None) -> dict | None:
-    if delta is None:
-        return total
-    if total is None:
-        total = {}
-    for key, value in delta.items():
-        total[key] = total.get(key, 0) + value
-    return total
-
-
-def _pool_context(start_method: str | None = None):
-    """The multiprocessing context campaign worker pools run under.
-
-    ``start_method`` (or the ``REPRO_MP_START_METHOD`` environment
-    variable) forces a start method; otherwise ``fork`` is used where
-    the platform provides it, with ``spawn`` as the portable fallback.
-    Campaign results are identical under either method: ``spawn``
-    re-randomizes each worker's interpreter hash seed, which the
-    CRC32-keyed address mapping makes irrelevant to outcomes.
-    """
-    method = start_method or os.environ.get("REPRO_MP_START_METHOD")
-    if method:
-        return multiprocessing.get_context(method)
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:
-        return multiprocessing.get_context("spawn")
-
-
-def _worker_eval(
-    item: tuple[int, Mutant],
-) -> tuple[int, MutantResult, dict | None]:
-    index, mutant = item
-    context = _WORKER_CONTEXT
-    assert context is not None
-    before = context.stats_view()
-    result = _run_one(mutant, context)
-    return index, result, _stats_delta(before, context.stats_view())
-
-
-def _evaluate_parallel(
-    setup: CampaignSetup,
-    indices: list[int],
-    backend: str | None,
-    compile_cache: bool,
-    boot_checkpoint: bool,
-    checkpoint_granularity: str,
-    granularity_pinned: bool,
-    checkpoint_plan: str | None,
-    workers: int,
-    progress: ProgressFn | None,
-) -> tuple[list[MutantResult], dict | None]:
-    """Evaluate the indexed mutants on a process pool, merging by index.
-
-    Each mutant evaluation is independent and deterministic, so the merge
-    is seed-stable: ``workers=N`` equals ``workers=1`` result-for-result,
-    and the per-mutant checkpoint-counter deltas sum to the serial
-    ``checkpoint_stats`` regardless of how mutants land on workers.
-    ``progress`` is invoked in completion order (indices may interleave).
-    """
-    context = _pool_context()
-    worker_count = min(workers, len(indices))
-    chunksize = max(1, len(indices) // (worker_count * 8))
-    slots = {index: slot for slot, index in enumerate(indices)}
-    results: list[MutantResult | None] = [None] * len(indices)
-    stats: dict | None = None
-    with context.Pool(
-        worker_count,
-        initializer=_worker_init,
-        initargs=(
-            setup.source,
-            setup.driver_filename,
-            setup.registry,
-            setup.budget,
-            backend,
-            compile_cache,
-            boot_checkpoint,
-            checkpoint_granularity,
-            checkpoint_plan,
-            granularity_pinned,
-        ),
-    ) as pool:
-        completed = 0
-        for index, result, delta in pool.imap_unordered(
-            _worker_eval,
-            [(index, setup.tested[index]) for index in indices],
-            chunksize=chunksize,
-        ):
-            results[slots[index]] = result
-            stats = _merge_stats(stats, delta)
-            if progress is not None:
-                progress(completed, len(indices))
-            completed += 1
-    assert all(result is not None for result in results)
-    return results, stats  # type: ignore[return-value]
 
 
 # -- Devil specification campaigns ----------------------------------------------
+
+
+@dataclass(frozen=True)
+class SpecRequest(Request):
+    """One Devil specification campaign (a Table 2 row) as a request."""
+
+    kind: ClassVar[str] = "devil"
+
+    spec_name: str
+    fraction: float = 1.0
+    seed: int = DEFAULT_SEED
+    compile_cache: bool = True
+
+
+class DevilCampaign(MutantKind):
+    """Devil spec mutants: a mutant is detected iff the checker rejects it."""
+
+    request_type = SpecRequest
+
+    def __init__(self, key, source, compiler, mutants):
+        super().__init__(key)
+        self.source = source
+        self.compiler = compiler
+        self.mutants = mutants
+
+    @classmethod
+    def build(cls, key, plan_path=None) -> "DevilCampaign":
+        source = load_spec_source(key.spec_name)
+        device = parse_spec(source, key.spec_name)
+        # The unmutated spec must be accepted.
+        compile_spec(source, key.spec_name)
+        compiler = (
+            SpecCampaignCompiler(source, key.spec_name)
+            if key.compile_cache
+            else None
+        )
+        mutants = enumerate_devil_mutants(
+            source, device, key.spec_name, compiler=compiler
+        )
+        return cls(key, source, compiler, mutants)
+
+    def classify(self, mutant: Mutant) -> MutantResult:
+        mutated = mutant.apply(self.source)
+        if self.compiler is not None:
+            errors = self.compiler.errors_for_variant(mutated)
+        else:
+            errors = spec_errors(mutated, self.key.spec_name)
+        outcome = BootOutcome.COMPILE_CHECK if errors else BootOutcome.BOOT
+        detail = errors[0].code if errors else "accepted"
+        return MutantResult(mutant=mutant, outcome=outcome, detail=detail)
+
+    def assemble(self, request, results, stats, quarantine):
+        return DevilCampaignResult(
+            spec_name=self.key.spec_name,
+            lines=count_code_lines(self.source),
+            sites=len({m.site.key for m in self.mutants}),
+            enumerated=len(self.mutants),
+            results=results,
+            quarantine=quarantine,
+        )
 
 
 def run_devil_campaign(
@@ -933,40 +701,13 @@ def run_devil_campaign(
     declaration(s); campaign results are identical to the from-scratch
     ``spec_errors`` pipeline (``compile_cache=False``).
     """
-    source = load_spec_source(spec_name)
-    device = parse_spec(source, spec_name)
-    # The unmutated spec must be accepted.
-    compile_spec(source, spec_name)
-
-    compiler = (
-        SpecCampaignCompiler(source, spec_name) if compile_cache else None
-    )
-    mutants = enumerate_devil_mutants(
-        source, device, spec_name, compiler=compiler
-    )
-    tested = sample_mutants(mutants, fraction, seed)
-    result = DevilCampaignResult(
+    request = SpecRequest(
         spec_name=spec_name,
-        lines=count_code_lines(source),
-        sites=len({m.site.key for m in mutants}),
-        enumerated=len(mutants),
+        fraction=fraction,
+        seed=seed,
+        compile_cache=compile_cache,
     )
-    for index, mutant in enumerate(tested):
-        if progress is not None:
-            progress(index, len(tested))
-        mutated = mutant.apply(source)
-        if compiler is not None:
-            errors = compiler.errors_for_variant(mutated)
-        else:
-            errors = spec_errors(mutated, spec_name)
-        outcome = (
-            BootOutcome.COMPILE_CHECK if errors else BootOutcome.BOOT
-        )
-        detail = errors[0].code if errors else "accepted"
-        result.results.append(
-            MutantResult(mutant=mutant, outcome=outcome, detail=detail)
-        )
-    return result
+    return run_campaign(DevilCampaign, request, progress)
 
 
 def count_code_lines(source: str) -> int:

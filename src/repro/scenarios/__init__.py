@@ -15,9 +15,9 @@ differential fuzzer's program generator
   corpus materialisation sized by a ``scale`` knob, and the
   deterministic JSON manifest;
 * :mod:`repro.scenarios.campaign` — scenarios as first-class mutation
-  campaign targets: enumeration, incremental compile, checkpoint plans
-  and the serial/parallel/engine seams, mirroring
-  `repro.mutation.runner` exactly.
+  campaign targets: the driver campaign kind
+  (`repro.mutation.runner.DriverCampaign`) with the scenario machine,
+  boot function and harness swapped in.
 
 ``python -m repro.scenarios`` generates, lists and runs corpora from
 the command line; `repro.engine.ScenarioRequest` serves scenario
@@ -43,9 +43,10 @@ from repro.scenarios.corpus import (
     scenario_from_id,
 )
 from repro.scenarios.campaign import (
+    ScenarioCampaign,
     ScenarioMachine,
+    ScenarioRequest,
     ScenarioSequence,
-    prepare_scenario_campaign,
     run_scenario_campaign,
     scenario_boot,
     scenario_harness,
@@ -59,7 +60,9 @@ __all__ = [
     "Profile",
     "ProgramGen",
     "Scenario",
+    "ScenarioCampaign",
     "ScenarioMachine",
+    "ScenarioRequest",
     "ScenarioSequence",
     "ScriptedBus",
     "build_scenario",
@@ -67,7 +70,6 @@ __all__ = [
     "generate_corpus",
     "manifest_digest",
     "manifest_json",
-    "prepare_scenario_campaign",
     "run_scenario_campaign",
     "scenario_boot",
     "scenario_from_id",

@@ -65,7 +65,7 @@ def main(argv: list[str] | None = None) -> int:
     run.add_argument("--seed", type=int, default=DEFAULT_SEED)
     run.add_argument(
         "--workers", type=int, default=1,
-        help="process-pool evaluation with N workers",
+        help="evaluate on a throwaway engine with N workers",
     )
     run.add_argument(
         "--engine", type=int, default=None, metavar="N",

@@ -77,26 +77,19 @@ def _cases(per_site: bool) -> list:
 
 @functools.lru_cache(maxsize=None)
 def _campaign(driver: str):
-    """Full-population campaign state: mutants by id and a plan context."""
-    from repro.mutation.runner import _EvalContext, prepare_campaign
+    """Full-population campaign state: mutants by id and the checkpointed
+    driver campaign kind."""
+    from repro.mutation.runner import CampaignRequest, DriverCampaign
 
-    setup = prepare_campaign(driver, fraction=1.0)
-    context = _EvalContext.build(
-        setup.source,
-        setup.driver_filename,
-        setup.registry,
-        setup.budget,
-        None,
-        True,
-        checkpoint=True,
-        compiler=setup.compiler,
+    campaign = DriverCampaign.build(
+        CampaignRequest(
+            driver, boot_checkpoint=True, granularity="subcall"
+        ).warm_key()
     )
-    return {m.mutant_id: m for m in setup.mutants}, context
+    return {m.mutant_id: m for m in campaign.mutants}, campaign
 
 
 def _check_mutant(driver: str, mutant_id: str, jumps: bool) -> None:
-    from repro.mutation.runner import _checkpointed_boot
-
     mutants, context = _campaign(driver)
     mutant = mutants[mutant_id]
     program = context.compiler.compile_variant(mutant.apply(context.source))
@@ -119,7 +112,7 @@ def _check_mutant(driver: str, mutant_id: str, jumps: bool) -> None:
     reports = {
         "closure": cold("closure"),
         "source": cold("source"),
-        "hybrid (campaign path)": _checkpointed_boot(program, mutant, context),
+        "hybrid (campaign path)": context.run_mutant(program, mutant),
     }
     for path, report in reports.items():
         assert report == reference, f"{path} diverged from tree on {mutant_id}"
@@ -412,7 +405,6 @@ def _regenerate() -> dict:
     """Classify every mutant on the campaign path; split the budget-bound
     ones by whether the watch jumps them."""
     from repro.diagnostics import CompileError
-    from repro.mutation.runner import _checkpointed_boot
 
     population = {}
     for driver in DRIVERS:
@@ -425,7 +417,7 @@ def _regenerate() -> dict:
                 )
             except CompileError:
                 continue
-            report = _checkpointed_boot(program, mutant, context)
+            report = context.run_mutant(program, mutant)
             if report.outcome is BootOutcome.INFINITE_LOOP:
                 groups["jump" if report.steps_jumped else "burn"].append(mutant_id)
         population[driver] = groups

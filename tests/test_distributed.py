@@ -13,6 +13,7 @@ import random
 import subprocess
 import sys
 import zlib
+from types import SimpleNamespace
 
 import pytest
 
@@ -41,7 +42,7 @@ from repro.kernel.checkpoint import (
 from repro.kernel.kernel import DEFAULT_STEP_BUDGET
 from repro.minic.interp import Interpreter
 from repro.minic.program import compile_program
-from repro.mutation.runner import prepare_campaign, run_driver_campaign
+from repro.mutation.runner import assemble_driver, run_driver_campaign
 from repro.serialize import ContainerError, canonical_dumps, read_header
 
 from conftest import ALL_BACKENDS
@@ -52,7 +53,13 @@ SEED = 4136
 
 @pytest.fixture(scope="module")
 def c_setup():
-    return prepare_campaign("c", fraction=FRACTION, seed=SEED)
+    files, registry, driver_filename = assemble_driver("c")
+    return SimpleNamespace(
+        files=files,
+        registry=registry,
+        driver_filename=driver_filename,
+        source=files[0].text,
+    )
 
 
 @pytest.fixture(scope="module")

@@ -30,7 +30,6 @@ from repro.engine import (
     default_lease_size,
 )
 from repro.engine.scheduler import MAX_LEASE
-from repro.engine.state import WarmSpec
 from repro.mutation.runner import run_devil_campaign, run_driver_campaign
 
 FRACTION = 0.02
@@ -353,31 +352,32 @@ def test_engine_rejects_misbehaving_schedulers(leases, message):
 def test_campaign_request_resolves_environment(monkeypatch):
     monkeypatch.setenv("REPRO_BOOT_CHECKPOINT", "1")
     monkeypatch.setenv("REPRO_CHECKPOINT_GRANULARITY", "call")
-    spec = CampaignRequest(driver="c").warm_spec()
-    assert spec == WarmSpec(
-        kind="driver",
+    key = CampaignRequest(driver="c").warm_key()
+    assert key == CampaignRequest(
         driver="c",
+        fraction=None,
+        seed=None,
         boot_checkpoint=True,
         granularity="call",
-        granularity_pinned=True,
     )
+    assert key.kind == "driver"
     monkeypatch.delenv("REPRO_BOOT_CHECKPOINT")
     monkeypatch.delenv("REPRO_CHECKPOINT_GRANULARITY")
-    spec = CampaignRequest(driver="c").warm_spec()
-    assert not spec.boot_checkpoint
-    assert not spec.granularity_pinned
+    key = CampaignRequest(driver="c").warm_key()
+    assert not key.boot_checkpoint
+    assert key.granularity == "subcall"
     # Mirrors run_driver_campaign: an explicit boot_checkpoint=True with
     # no explicit granularity still honours the environment's choice.
     monkeypatch.setenv("REPRO_CHECKPOINT_GRANULARITY", "call")
-    spec = CampaignRequest(driver="c", boot_checkpoint=True).warm_spec()
-    assert spec.granularity == "call"
+    key = CampaignRequest(driver="c", boot_checkpoint=True).warm_key()
+    assert key.granularity == "call"
 
 
 def test_requests_sharing_a_warm_spec_share_state():
-    a = CampaignRequest(driver="c", fraction=0.25, seed=1).warm_spec()
-    b = CampaignRequest(driver="c", fraction=0.01, seed=99).warm_spec()
+    a = CampaignRequest(driver="c", fraction=0.25, seed=1).warm_key()
+    b = CampaignRequest(driver="c", fraction=0.01, seed=99).warm_key()
     assert a == b  # sampling parameters are not part of the warm identity
-    c = CampaignRequest(driver="c", backend="tree").warm_spec()
+    c = CampaignRequest(driver="c", backend="tree").warm_key()
     assert a != c
 
 
@@ -411,7 +411,7 @@ def test_daemon_socket_round_trip(tmp_path):
     try:
         client = EngineClient(socket_path, wait=120.0)
         streamed = []
-        campaign = client.run_campaign(
+        campaign = client.submit(
             request, on_result=lambda index, result: streamed.append(index)
         )
         serial = run_driver_campaign(
@@ -420,7 +420,7 @@ def test_daemon_socket_round_trip(tmp_path):
         assert campaign == serial
         assert sorted(streamed) == list(range(serial.tested))
         # The daemon's warm state serves repeat submissions identically.
-        assert client.run_campaign(request) == serial
+        assert client.submit(request) == serial
         assert client.ping()
         client.shutdown()
         assert daemon.wait(timeout=60) == 0
@@ -428,6 +428,56 @@ def test_daemon_socket_round_trip(tmp_path):
         if daemon.poll() is None:  # pragma: no cover - failure cleanup
             daemon.kill()
             daemon.wait()
+
+
+def test_stalled_client_does_not_block_the_daemon(tmp_path):
+    """A client that sends part of a request frame and stalls is dropped
+    at the request deadline, so a second client's ping is still
+    answered — the daemon serves one connection at a time, and without
+    the deadline the stalled one blocked everybody."""
+    import socket as socket_module
+    import struct
+    import time
+
+    from repro.engine.daemon import REQUEST_DEADLINE, recv_frame, send_frame
+
+    socket_path = str(tmp_path / "engine.sock")
+    daemon = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro.engine", "serve",
+            "--socket", socket_path, "--workers", "1", "--no-warm",
+        ],
+        env=_daemon_env(),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        assert EngineClient(socket_path, wait=120.0).ping()
+        stalled = socket_module.socket(
+            socket_module.AF_UNIX, socket_module.SOCK_STREAM
+        )
+        stalled.connect(socket_path)
+        # The header claims 100 bytes; one arrives, then silence.
+        stalled.sendall(struct.pack(">I", 100) + b"x")
+        started = time.monotonic()
+        probe = socket_module.socket(
+            socket_module.AF_UNIX, socket_module.SOCK_STREAM
+        )
+        probe.settimeout(REQUEST_DEADLINE + 30.0)
+        probe.connect(socket_path)
+        send_frame(probe, ("ping",))
+        assert recv_frame(probe) == ("pong",)
+        assert time.monotonic() - started < REQUEST_DEADLINE + 30.0
+        probe.close()
+        stalled.close()
+        EngineClient(socket_path).shutdown()
+        assert daemon.wait(timeout=60) == 0
+    finally:
+        if daemon.poll() is None:  # pragma: no cover - failure cleanup
+            daemon.kill()
+        _, stderr = daemon.communicate()
+    assert "request frame not received in time" in stderr
 
 
 # -- socket claiming (the old unconditional-unlink bug) ------------------------
@@ -617,9 +667,9 @@ def test_close_reaps_a_wedged_worker(monkeypatch):
     engine = Engine(workers=1, warm=(PLAIN,), close_timeout=0.5)
     engine.start()
     proc = engine._procs[0]
-    spec = PLAIN.resolved().warm_spec()
-    # Wedge the worker: send a lease it will never answer.
-    engine._conns[0].send(("eval", 0, spec, FRACTION, SEED, [0]))
+    # Wedge the worker: send a lease (campaign 0, resident slot 0) it
+    # will never answer.
+    engine._conns[0].send(("eval", 0, 0, PLAIN.sample, [0]))
     deadline = real_time.monotonic()
     engine.close()
     elapsed = real_time.monotonic() - deadline

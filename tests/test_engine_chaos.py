@@ -407,7 +407,7 @@ def test_daemon_survives_worker_kill_mid_campaign(tmp_path, serial_plain):
     daemon = _serve(socket_path, env)
     try:
         client = EngineClient(socket_path, wait=120.0)
-        campaign = client.run_campaign(PLAIN)
+        campaign = client.submit(PLAIN)
         client.shutdown()
         assert daemon.wait(timeout=60) == 0
     finally:
@@ -437,12 +437,12 @@ def test_daemon_degrades_failed_campaign_to_typed_frame(tmp_path, serial_devil):
     try:
         client = EngineClient(socket_path, wait=120.0)
         with pytest.raises(CampaignFailedError) as failure:
-            client.run_campaign(PLAIN)
+            client.submit(PLAIN)
         assert failure.value.info["error"] == "EngineError"
         assert "respawn budget" in failure.value.info["message"]
         # The daemon survived the failed campaign with warm state intact.
         assert client.ping()
-        campaign = client.run_spec_campaign(DEVIL)
+        campaign = client.submit(DEVIL)
         client.shutdown()
         assert daemon.wait(timeout=60) == 0
     finally:
@@ -464,7 +464,7 @@ def test_daemon_survives_client_vanishing_mid_stream(tmp_path, serial_plain):
         frame = recv_frame(rude)
         assert frame[0] == "result"
         rude.close()  # vanish with most of the stream unsent
-        campaign = client.run_campaign(PLAIN)
+        campaign = client.submit(PLAIN)
         client.shutdown()
         assert daemon.wait(timeout=60) == 0
     finally:

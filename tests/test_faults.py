@@ -27,7 +27,9 @@ from repro.drivers import assemble_c_program
 from repro.faults import (
     DIMENSIONS,
     Fault,
+    FaultCampaign,
     FaultInjector,
+    FaultRequest,
     build_fault_plan,
     checkpoint_for_fault,
     profile_from,
@@ -185,10 +187,9 @@ def test_engine_matches_serial(golden_campaign):
 
 def test_fault_always_fires_assertion_catches_dead_triggers(golden_campaign):
     """A trigger beyond the observed access stream must fail loudly."""
-    from repro.faults.campaign import FaultContext
-
-    context = FaultContext.build("c", granularity="subcall")
-    context.ensure()
+    context = FaultCampaign.build(
+        FaultRequest(driver="c", granularity="subcall").warm_key()
+    )
     ghost = Fault(
         dimension="read-bit-flip",
         channel="read",
@@ -201,10 +202,9 @@ def test_fault_always_fires_assertion_catches_dead_triggers(golden_campaign):
 
 
 def test_checkpoint_for_fault_picks_deepest_preceding(golden_campaign):
-    from repro.faults.campaign import FaultContext
-
-    context = FaultContext.build("c", granularity="subcall")
-    context.ensure()
+    context = FaultCampaign.build(
+        FaultRequest(driver="c", granularity="subcall").warm_key()
+    )
     plan = context._plan
     fault = Fault(
         dimension="read-bit-flip", channel="read", port=0x1F7, index=0, bit=0

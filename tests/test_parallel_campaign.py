@@ -3,12 +3,14 @@
 ``run_driver_campaign(workers=N)`` must reproduce the serial campaign
 result for any worker count: results merge by mutant index and every
 mutant evaluation is independent, so the paper's tables cannot depend on
-scheduling.
+scheduling.  ``workers=N`` runs on a throwaway `repro.engine.Engine`;
+its ``spawn`` start path is covered by
+``tests/test_engine.py::test_engine_spawn_start_method``.
 """
 
 import pytest
 
-from repro.mutation.runner import _pool_context, run_driver_campaign
+from repro.mutation.runner import run_driver_campaign
 
 
 def _view(campaign):
@@ -30,19 +32,6 @@ def test_worker_count_does_not_change_results():
     two = run_driver_campaign("c", fraction=0.008, seed=5, workers=2)
     three = run_driver_campaign("c", fraction=0.008, seed=5, workers=3)
     assert _view(two) == _view(three)
-
-
-def test_spawn_start_method_equals_serial(monkeypatch):
-    """The non-POSIX fallback path: ``spawn`` workers rebuild their
-    evaluation context from the pickled setup instead of inheriting it,
-    and must still merge to the serial campaign — fresh interpreters,
-    re-randomized hash seeds and all."""
-    monkeypatch.setenv("REPRO_MP_START_METHOD", "spawn")
-    assert _pool_context().get_start_method() == "spawn"
-    spawned = run_driver_campaign("c", fraction=0.01, seed=4136, workers=2)
-    monkeypatch.delenv("REPRO_MP_START_METHOD")
-    serial = run_driver_campaign("c", fraction=0.01, seed=4136)
-    assert _view(spawned) == _view(serial)
 
 
 def test_progress_reports_all_mutants():

@@ -16,6 +16,7 @@ Two invariants, one per half of the package:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import signal
@@ -27,12 +28,12 @@ import pytest
 from repro.engine import Engine, EngineClient, ScenarioRequest, SupervisionPolicy
 from repro.scenarios import (
     PROFILE_ORDER,
+    ScenarioCampaign,
     PROFILES,
     build_scenario,
     generate_corpus,
     manifest_digest,
     manifest_json,
-    prepare_scenario_campaign,
     run_scenario_campaign,
     scenario_from_id,
 )
@@ -70,7 +71,7 @@ def serial_campaigns(scenarios):
 
 def _request(profile: str) -> ScenarioRequest:
     return ScenarioRequest(
-        scenario_id=f"{profile}-000",
+        scenario=f"{profile}-000",
         fraction=FRACTION,
         seed=SEED,
         boot_checkpoint=True,
@@ -129,9 +130,11 @@ def test_every_corpus_member_is_a_usable_campaign_target(corpus):
     """The acceptance gate guarantees a clean baseline; enumeration over
     the whole (untagged) source must find real mutation sites."""
     for scenario in corpus:
-        setup = prepare_scenario_campaign(scenario, fraction=0.01)
-        assert setup.enumerated > 0
-        assert setup.clean_steps > 0
+        campaign = ScenarioCampaign.build(
+            ScenarioRequest(scenario).warm_key()
+        )
+        assert campaign.enumerated > 0
+        assert campaign.clean_steps > 0
 
 
 def test_switch_skipped_declaration_classifies_as_crash():
@@ -193,13 +196,33 @@ def test_worker_pool_matches_serial(profile, scenarios, serial_campaigns):
     )
 
 
+def test_hand_edited_scenario_is_evaluated_on_every_path():
+    """A request carries the scenario itself, not its corpus id: serial,
+    ``workers=2`` and ``engine=`` all evaluate the hand-edited program,
+    never the corpus program that shares its id."""
+    corpus = scenario_from_id("polling-000")
+    custom = dataclasses.replace(
+        corpus,
+        source=corpus.source + "\nint extra(int x) {\n    return x + 1;\n}\n",
+    )
+    serial = run_scenario_campaign(custom, fraction=0.2, seed=1)
+    pristine = run_scenario_campaign(corpus, fraction=0.2, seed=1)
+    assert serial.enumerated > pristine.enumerated
+    assert run_scenario_campaign(custom, fraction=0.2, seed=1, workers=2) == serial
+    with Engine(workers=1) as engine:
+        assert (
+            run_scenario_campaign(custom, fraction=0.2, seed=1, engine=engine)
+            == serial
+        )
+
+
 def test_warm_engine_matches_serial_for_every_profile(serial_campaigns):
     """One engine, four resident scenario specs, byte-identity each —
     including a second submission against already-warm state."""
     requests = [_request(profile) for profile in PROFILE_ORDER]
     with Engine(workers=2, warm=tuple(requests)) as engine:
         for profile, request in zip(PROFILE_ORDER, requests):
-            campaign = engine.run_scenario_campaign(request)
+            campaign = engine.submit(request)
             assert campaign == serial_campaigns[profile]
             assert (
                 campaign.checkpoint_stats
@@ -226,7 +249,7 @@ def test_daemon_round_trip_matches_serial(tmp_path, serial_campaigns):
     try:
         client = EngineClient(socket_path, wait=120.0)
         streamed = []
-        campaign = client.run_scenario_campaign(
+        campaign = client.submit(
             _request("errorpath"),
             on_result=lambda index, result: streamed.append(index),
         )
